@@ -13,7 +13,6 @@ from .boolfn import (
 from .boxes import (
     BoxTable,
     SignalingCheck,
-    box_equal,
     is_non_signaling,
     make_correlated,
     make_even_parity,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
 
 Monomial = frozenset[int]
 
@@ -140,10 +139,6 @@ def parse_expr(text: str, n: int) -> AnfFunction:
     return AnfFunction(n, frozenset(monomials))
 
 
-def evaluate(f: AnfFunction, x) -> int:
-    return f.evaluate(x)
-
-
 def anf_from_truth_table(tt) -> AnfFunction:
     """Recover the unique ANF reproducing a truth table.
 
@@ -239,8 +234,3 @@ def monomial_function(n: int, variables) -> AnfFunction:
     """Single-monomial function: the AND of the given variables."""
     return AnfFunction(n, frozenset([frozenset(variables)]))
 
-
-def xor_all(functions: list[AnfFunction]) -> AnfFunction:
-    if not functions:
-        raise ValueError("xor_all requires at least one function")
-    return reduce(lambda a, b: a ^ b, functions)

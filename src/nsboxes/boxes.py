@@ -9,11 +9,17 @@ tolerance.  Storage is dense: all 4^n entries are kept, zeros included.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator
 
+# Largest party count any table may have.
 MAX_PARTIES = 8
+# Largest party count for the exhaustive checks: the locality LP, the wiring
+# cross-check of the boosting map and the end-to-end plan verifier.
+MAX_EXHAUSTIVE_PARTIES = 5
 
 Bits = tuple[int, ...]
 
@@ -38,16 +44,34 @@ def _check_party_count(n: int) -> None:
         raise ValueError(f"party count must be in 1..{MAX_PARTIES}, got {n}")
 
 
+def check_exhaustive_party_count(n: int, what: str) -> None:
+    """Refuse n parties for an exhaustive check beyond its supported size."""
+    if n > MAX_EXHAUSTIVE_PARTIES:
+        raise ValueError(
+            f"{what} supports up to {MAX_EXHAUSTIVE_PARTIES} parties, got {n}"
+        )
+
+
+def check_weight(eps) -> Fraction:
+    """The mixing weight eps as a Fraction, required to lie in [0, 1]."""
+    eps = Fraction(eps)
+    if not 0 <= eps <= 1:
+        raise ValueError(f"eps must be in [0, 1], got {eps}")
+    return eps
+
+
 @dataclass(frozen=True)
 class BoxTable:
     """Dense table P(a | x) over n binary-input, binary-output parties.
 
     Invariants, enforced at construction: every entry is a nonnegative
-    Fraction and for every input x the entries sum to exactly 1.
+    Fraction and for every input x the entries sum to exactly 1.  Entries
+    omitted from the given mapping are zero; the stored `entries` is a
+    read-only view holding all 4^n of them.
     """
 
     n: int
-    entries: dict[tuple[Bits, Bits], Fraction] = field(repr=False)
+    entries: Mapping[tuple[Bits, Bits], Fraction] = field(repr=False)
 
     def __post_init__(self):
         _check_party_count(self.n)
@@ -57,6 +81,11 @@ class BoxTable:
             for a in bit_tuples(self.n):
                 p = self.entries.get((x, a), ZERO)
                 if not isinstance(p, Fraction):
+                    if isinstance(p, float):
+                        raise TypeError(
+                            f"float probability {p!r} at x={x}, a={a}; "
+                            "pass an exact Fraction"
+                        )
                     p = Fraction(p)
                 if p < 0:
                     raise ValueError(f"negative probability at x={x}, a={a}")
@@ -66,7 +95,7 @@ class BoxTable:
                 raise ValueError(
                     f"conditional distribution for x={x} sums to {total}, not 1"
                 )
-        object.__setattr__(self, "entries", full)
+        object.__setattr__(self, "entries", MappingProxyType(full))
 
     def prob(self, x: Bits, a: Bits) -> Fraction:
         return self.entries[(tuple(x), tuple(a))]
@@ -84,9 +113,8 @@ class BoxTable:
             return NotImplemented
         return self.n == other.n and self.entries == other.entries
 
-
-def box_from_entries(n: int, entries: dict) -> BoxTable:
-    return BoxTable(n=n, entries=dict(entries))
+    def __hash__(self) -> int:
+        return hash((self.n, tuple(self.entries.values())))
 
 
 def make_full_correlation_from_callable(n: int, f) -> BoxTable:
@@ -98,7 +126,7 @@ def make_full_correlation_from_callable(n: int, f) -> BoxTable:
         fx = f(x) & 1
         for a in bit_tuples(n):
             entries[(x, a)] = w if parity(a) == fx else ZERO
-    return BoxTable(n=n, entries=entries)
+    return BoxTable(n, entries)
 
 
 def make_npr(n: int) -> BoxTable:
@@ -120,9 +148,7 @@ def make_even_parity(n: int) -> BoxTable:
 
 def make_correlated(n: int, eps: Fraction) -> BoxTable:
     """Entrywise mixture eps * PR + (1 - eps) * even-parity."""
-    eps = Fraction(eps)
-    if not 0 <= eps <= 1:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
+    eps = check_weight(eps)
     return mix([make_npr(n), make_even_parity(n)], [eps, 1 - eps])
 
 
@@ -150,7 +176,7 @@ def mix(boxes: list[BoxTable], weights: list[Fraction]) -> BoxTable:
         entries[key] = sum(
             (w * b.entries[key] for b, w in zip(boxes, weights)), ZERO
         )
-    return BoxTable(n=n, entries=entries)
+    return BoxTable(n, entries)
 
 
 def xor_boxes(p: BoxTable, q: BoxTable) -> BoxTable:
@@ -170,7 +196,7 @@ def xor_boxes(p: BoxTable, q: BoxTable) -> BoxTable:
             for b, qb in sup_q:
                 c = tuple(ai ^ bi for ai, bi in zip(a, b))
                 entries[(x, c)] += pa * qb
-    return BoxTable(n=n, entries=entries)
+    return BoxTable(n, entries)
 
 
 def xor_star(functions: list, eps: Fraction) -> BoxTable:
@@ -183,9 +209,7 @@ def xor_star(functions: list, eps: Fraction) -> BoxTable:
     """
     if not functions:
         raise ValueError("xor_star requires at least one function")
-    eps = Fraction(eps)
-    if not 0 <= eps <= 1:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
+    eps = check_weight(eps)
     n = functions[0].n
     if any(f.n != n for f in functions):
         raise ValueError("all functions must share the variable count")
@@ -255,8 +279,3 @@ def is_non_signaling(p: BoxTable) -> SignalingCheck:
                         ok=False, witness=(k + 1, x, x_flip, a_rest)
                     )
     return SignalingCheck(ok=True)
-
-
-def box_equal(p: BoxTable, q: BoxTable) -> bool:
-    """Exact entrywise equality."""
-    return p == q

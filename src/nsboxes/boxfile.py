@@ -8,14 +8,36 @@ validates exact normalization for every input.
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .boxes import BoxTable, bit_tuples, box_from_entries
+from .boxes import BoxTable, bit_tuples
+
+_RATIO = re.compile(r"([-+]?[0-9]+)/([0-9]+)")
 
 
 class BoxFileError(ValueError):
     """Malformed box file (syntax, bad bits, or broken normalization)."""
+
+
+def int_text(i: int) -> str:
+    """Decimal digits of i at any size.
+
+    `str(i)` refuses integers longer than `sys.get_int_max_str_digits()`
+    digits; the conversion through Decimal is exact and has no such limit.
+    """
+    return str(Decimal(i))
+
+
+def _parse_probability(text: str) -> Fraction:
+    # 'num/den' goes through Decimal, free of int's digit limit; any other
+    # spelling is left to Fraction.
+    match = _RATIO.fullmatch(text)
+    if match is None:
+        return Fraction(text)
+    return Fraction(int(Decimal(match[1])), int(Decimal(match[2])))
 
 
 def box_to_text(box: BoxTable) -> str:
@@ -24,7 +46,7 @@ def box_to_text(box: BoxTable) -> str:
         for a, p in box.support(x):
             xs = "".join(map(str, x))
             as_ = "".join(map(str, a))
-            lines.append(f"{xs} {as_} {p.numerator}/{p.denominator}")
+            lines.append(f"{xs} {as_} {int_text(p.numerator)}/{int_text(p.denominator)}")
     return "\n".join(lines) + "\n"
 
 
@@ -53,7 +75,7 @@ def box_from_text(text: str) -> BoxTable:
                 f"line {lineno}: x and a must be {n}-bit strings"
             )
         try:
-            p = Fraction(ps)
+            p = _parse_probability(ps)
         except (ValueError, ZeroDivisionError) as exc:
             raise BoxFileError(f"line {lineno}: bad probability {ps!r}") from exc
         key = (tuple(int(b) for b in xs), tuple(int(b) for b in as_))
@@ -63,7 +85,7 @@ def box_from_text(text: str) -> BoxTable:
     if n is None:
         raise BoxFileError("missing 'n' header")
     try:
-        return box_from_entries(n, records)
+        return BoxTable(n, records)
     except ValueError as exc:
         raise BoxFileError(str(exc)) from exc
 

@@ -14,13 +14,14 @@ from fractions import Fraction
 from . import boxfile, commcost, distill
 from .boolfn import ExprSyntaxError, anf_from_truth_table, parse_expr
 from .boxes import (
+    MAX_EXHAUSTIVE_PARTIES,
     make_correlated,
     make_even_parity,
     make_full_correlation,
     make_npr,
     is_non_signaling,
 )
-from .locality import MAX_LP_PARTIES, decide_locality
+from .locality import decide_locality
 from .wiring import evaluate_wiring, named_wiring, wiring_to_text
 
 USAGE_ERROR = 1
@@ -30,6 +31,7 @@ PRECONDITION_ERROR = 2
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 
@@ -37,6 +39,7 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        print(f"error: invalid fraction {text!r}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 
@@ -113,8 +116,8 @@ def _cmd_box_check(args) -> int:
         )
     if args.skip_local:
         return 0
-    if box.n > MAX_LP_PARTIES:
-        print(f"local: skipped (supported up to {MAX_LP_PARTIES} parties)")
+    if box.n > MAX_EXHAUSTIVE_PARTIES:
+        print(f"local: skipped (supported up to {MAX_EXHAUSTIVE_PARTIES} parties)")
         return 0
     result = decide_locality(box)
     if result.local:
@@ -148,8 +151,8 @@ def _cmd_distill(args) -> int:
         f"(distance to the perfect box: {distill.tv_distance_to_limit(final)})"
     )
     if args.validate:
-        if args.n > 4:
-            print("wiring oracle: skipped (supported up to 4 parties)")
+        if args.n > MAX_EXHAUSTIVE_PARTIES:
+            print(f"wiring oracle: skipped (supported up to {MAX_EXHAUSTIVE_PARTIES} parties)")
         else:
             ok = distill.validate_against_wiring(args.n, eps)
             print("wiring oracle: " + ("MATCH" if ok else "MISMATCH"))
@@ -175,9 +178,6 @@ def _cmd_analyze(args, parser) -> int:
                 + "; ".join(verdict.reasons),
                 file=sys.stderr,
             )
-            return PRECONDITION_ERROR
-        if f.n > 5:
-            print("error: verification supported up to 5 parties", file=sys.stderr)
             return PRECONDITION_ERROR
     report = commcost.report_text(f, verify_eps=verify_eps, verify_steps=verify_steps)
     _write_output(report, args.out)
@@ -253,9 +253,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    try:
         if args.command == "box":
             if args.box_command == "build":
                 if args.n is None and args.type in ("npr", "even", "correlated"):
@@ -271,9 +268,6 @@ def main(argv=None) -> int:
             return _cmd_wiring_eval(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    except (commcost.SupportConditionError, commcost.NotAmplifiableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PRECONDITION_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR

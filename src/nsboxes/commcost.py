@@ -27,7 +27,7 @@ from .boxes import (
     BoxTable,
     ZERO,
     bit_tuples,
-    box_from_entries,
+    check_exhaustive_party_count,
     make_correlated,
     make_full_correlation,
     mix,
@@ -337,7 +337,7 @@ def _collapse_on_monomial(
             d[recv_pos] ^= absorbed
             key = (x_sub, tuple(d))
             entries[key] = entries.get(key, ZERO) + p
-    return box_from_entries(k, entries)
+    return BoxTable(k, entries)
 
 
 def verify_plan_end_to_end(
@@ -360,8 +360,7 @@ def verify_plan_end_to_end(
         raise ValueError("steps must be nonnegative")
 
     the_plan = plan(f)
-    if f.n > 5:
-        raise ValueError("end-to-end verification supported up to 5 parties")
+    check_exhaustive_party_count(f.n, "end-to-end verification")
     isolated = the_plan.isolated
     k = len(isolated)
     decomp = decompose(f)

@@ -13,29 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boxes import make_correlated
+from .boxes import check_exhaustive_party_count, check_weight, make_correlated
 from .wiring import bs_wiring, evaluate_wiring
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class UnreachableTargetError(ValueError):
     """Raised for targets the iteration can approach but never attain."""
 
 
-def _check_eps(eps: Fraction) -> Fraction:
-    eps = Fraction(eps)
-    if not 0 <= eps <= 1:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    return eps
-
-
 def t_map(n: int, eps: Fraction) -> Fraction:
     """One boosting round: eps -> eps / 2^(n-1) * (2^(n-1) + 1 - eps)."""
     if n < 2:
         raise ValueError("the boosting map needs at least two parties")
-    eps = _check_eps(eps)
+    eps = check_weight(eps)
     half = Fraction(1, 2 ** (n - 1))
     return eps * half * (2 ** (n - 1) + 1 - eps)
 
@@ -72,7 +62,7 @@ class Trajectory:
 
 def iterate(n: int, eps0: Fraction, steps: int) -> Trajectory:
     """Trajectory of `steps` boosting rounds from eps0; uses 2^steps copies."""
-    eps0 = _check_eps(eps0)
+    eps0 = check_weight(eps0)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     seq = [eps0]
@@ -107,7 +97,7 @@ def steps_to_reach(n: int, eps0: Fraction, target: Fraction) -> int:
 
 def tv_distance_to_limit(eps: Fraction) -> Fraction:
     """Worst-case per-input total-variation distance to the PR box: 1 - eps."""
-    return 1 - _check_eps(eps)
+    return 1 - check_weight(eps)
 
 
 def validate_against_wiring(n: int, eps: Fraction) -> bool:
@@ -116,9 +106,8 @@ def validate_against_wiring(n: int, eps: Fraction) -> bool:
     True iff boosting two copies of the eps-correlated box yields exactly
     the t_map(n, eps)-correlated box, entry by entry.
     """
-    if n > 5:
-        raise ValueError("wiring cross-check supported up to 5 parties")
-    eps = _check_eps(eps)
+    check_exhaustive_party_count(n, "wiring cross-check")
+    eps = check_weight(eps)
     box = make_correlated(n, eps)
     boosted = evaluate_wiring([box, box], bs_wiring(n))
     return boosted == make_correlated(n, t_map(n, eps))

@@ -11,16 +11,14 @@ against every strategy column.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .boxes import BoxTable, Bits, bit_tuples, box_from_entries
+from .boxes import ONE, ZERO, BoxTable, Bits, bit_tuples, check_exhaustive_party_count
 
-MAX_LP_PARTIES = 5
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+NORM = ("norm",)
 
 # A strategy assigns each party a response pair (output on input 0, on 1).
 Strategy = tuple[tuple[int, int], ...]
@@ -36,16 +34,26 @@ def strategy_output(s: Strategy, x: Bits) -> Bits:
     return tuple(s[i][x[i]] for i in range(len(x)))
 
 
+def strategy_keys(s: Strategy) -> Iterator[tuple[Bits, Bits]]:
+    """The entries (x, a) strategy s produces, one per input x in order."""
+    return ((x, strategy_output(s, x)) for x in bit_tuples(len(s)))
+
+
+def _score(row_duals: dict, s: Strategy) -> Fraction:
+    """y . column(s): the normalization dual plus the duals s produces."""
+    dot = row_duals.get(NORM, ZERO)
+    for key in strategy_keys(s):
+        if key in row_duals:
+            dot += row_duals[key]
+    return dot
+
+
 def deterministic_box(n: int, s: Strategy) -> BoxTable:
-    entries = {}
-    for x in bit_tuples(n):
-        a_out = strategy_output(s, x)
-        for a in bit_tuples(n):
-            entries[(x, a)] = ONE if a == a_out else ZERO
-    return box_from_entries(n, entries)
+    """The box of strategy s; n must equal len(s)."""
+    return LocalModel({s: ONE}).to_box()
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalModel:
     """Convex weights over deterministic strategies reproducing a box."""
 
@@ -57,17 +65,14 @@ class LocalModel:
         return len(some)
 
     def to_box(self) -> BoxTable:
-        n = self.n
-        entries = {(x, a): ZERO for x in bit_tuples(n) for a in bit_tuples(n)}
+        entries: dict = {}
         for s, w in self.weights.items():
-            if w == 0:
-                continue
-            for x in bit_tuples(n):
-                entries[(x, strategy_output(s, x))] += w
-        return box_from_entries(n, entries)
+            for key in strategy_keys(s):
+                entries[key] = entries.get(key, ZERO) + w
+        return BoxTable(self.n, entries)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NonlocalityCertificate:
     """Farkas witness: row duals that separate the box from the local hull.
 
@@ -81,26 +86,13 @@ class NonlocalityCertificate:
     def verify(self, box: BoxTable) -> bool:
         dot_b = ZERO
         for key, y in self.row_duals.items():
-            if key == ("norm",):
-                dot_b += y
-            else:
-                x, a = key
-                dot_b += y * box.entries[(x, a)]
+            dot_b += y if key == NORM else y * box.entries[key]
         if dot_b <= 0:
             return False
-        norm_dual = self.row_duals.get(("norm",), ZERO)
-        for s in strategies(box.n):
-            dot = norm_dual
-            for x in bit_tuples(box.n):
-                key = (x, strategy_output(s, x))
-                if key in self.row_duals:
-                    dot += self.row_duals[key]
-            if dot > 0:
-                return False
-        return True
+        return all(_score(self.row_duals, s) <= 0 for s in strategies(box.n))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalityResult:
     model: LocalModel | None
     certificate: NonlocalityCertificate | None
@@ -113,22 +105,15 @@ class LocalityResult:
 def decide_locality(box: BoxTable) -> LocalityResult:
     """Exact locality decision with model or separating certificate."""
     n = box.n
-    if n > MAX_LP_PARTIES:
-        raise ValueError(
-            f"locality LP supports up to {MAX_LP_PARTIES} parties, got {n}"
-        )
+    check_exhaustive_party_count(n, "locality LP")
 
-    all_strategies = strategies(n)
-    zero_rows = [key for key, v in box.entries.items() if v == 0]
-    zero_set = set(zero_rows)
+    zero_set = {key for key, v in box.entries.items() if v == 0}
 
     # A strategy hitting any zero-probability entry must carry weight zero.
     surviving: list[Strategy] = []
     eliminated: list[Strategy] = []
-    for s in all_strategies:
-        hits_zero = any(
-            (x, strategy_output(s, x)) in zero_set for x in bit_tuples(n)
-        )
+    for s in strategies(n):
+        hits_zero = any(key in zero_set for key in strategy_keys(s))
         (eliminated if hits_zero else surviving).append(s)
 
     # Equations: one per nonzero entry, plus total weight one.  Zero rows
@@ -137,7 +122,7 @@ def decide_locality(box: BoxTable) -> LocalityResult:
     b = [box.entries[key] for key in row_keys] + [ONE]
     columns = []
     for s in surviving:
-        produced = {(x, strategy_output(s, x)) for x in bit_tuples(n)}
+        produced = set(strategy_keys(s))
         col = [ONE if key in produced else ZERO for key in row_keys]
         col.append(ONE)
         columns.append(col)
@@ -150,26 +135,15 @@ def decide_locality(box: BoxTable) -> LocalityResult:
         return LocalityResult(model=LocalModel(weights=weights), certificate=None)
 
     # Extend the reduced certificate over the dropped zero rows so that it
-    # also separates the eliminated strategies.
+    # also separates the eliminated strategies: each one gets a penalty on
+    # its first zero entry that outweighs the largest score among them.
     duals = {key: y for key, y in zip(row_keys, result.certificate) if y != 0}
-    duals[("norm",)] = result.certificate[-1]
-    worst = ZERO
+    duals[NORM] = result.certificate[-1]
+    worst = max((_score(duals, s) for s in eliminated), default=ZERO)
+    penalty = max(ZERO, worst) + ONE
     for s in eliminated:
-        dot = duals.get(("norm",), ZERO)
-        for x in bit_tuples(n):
-            key = (x, strategy_output(s, x))
-            if key in duals and key != ("norm",):
-                dot += duals[key]
-        if dot > worst:
-            worst = dot
-    penalty = worst + ONE
-    if eliminated:
-        for s in eliminated:
-            for x in bit_tuples(n):
-                key = (x, strategy_output(s, x))
-                if key in zero_set:
-                    duals[key] = -penalty
-                    break
+        first_zero = next(key for key in strategy_keys(s) if key in zero_set)
+        duals[first_zero] = -penalty
     certificate = NonlocalityCertificate(row_duals=duals)
     return LocalityResult(model=None, certificate=certificate)
 

@@ -15,7 +15,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
     solution: list | None = None      # weight per column when feasible

@@ -14,10 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boxes import BoxTable, bit_tuples, box_from_entries
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .boxes import ONE, ZERO, BoxTable, bit_tuples
 
 # step table:  table[x_i][r][h] -> input bit, h encoding prior outputs
 # output table: table[x_i][r][h] -> final bit, h encoding all m outputs
@@ -172,7 +169,7 @@ def evaluate_wiring(boxes: list[BoxTable], w: Wiring) -> BoxTable:
                     for i in range(n)
                 )
                 entries[(x, c)] += prob
-    return box_from_entries(n, entries)
+    return BoxTable(n, entries)
 
 
 def bs_wiring(n: int) -> Wiring:

@@ -8,7 +8,6 @@ from nsboxes.boolfn import anf, parse_expr
 from nsboxes.boxes import (
     BoxTable,
     bit_tuples,
-    box_equal,
     is_non_signaling,
     make_correlated,
     make_even_parity,
@@ -258,9 +257,33 @@ def test_signaling_box_detected_with_witness():
 
 
 def test_box_equal():
-    assert box_equal(make_npr(2), make_npr(2))
-    assert box_equal(make_correlated(3, F(1)), make_npr(3))
-    assert not box_equal(make_correlated(3, F(1, 2)), make_correlated(3, F(1, 3)))
+    assert make_npr(2) == make_npr(2)
+    assert make_correlated(3, F(1)) == make_npr(3)
+    assert make_correlated(3, F(1, 2)) != make_correlated(3, F(1, 3))
+
+
+def test_box_table_is_immutable_and_hashable():
+    box = make_npr(2)
+    key = ((0, 0), (0, 0))
+    with pytest.raises(TypeError):
+        box.entries[key] = 7
+    assert box.prob(*key) == F(1, 2)
+    assert hash(box) == hash(make_correlated(2, F(1)))
+    assert {box, make_correlated(2, F(1)), make_even_parity(2)} == {
+        make_npr(2),
+        make_even_parity(2),
+    }
+
+
+def test_box_table_rejects_float_probabilities():
+    entries = {
+        (x, a): 0.5
+        for x in bit_tuples(2)
+        for a in bit_tuples(2)
+        if a[0] == a[1]
+    }
+    with pytest.raises(TypeError, match="float probability"):
+        BoxTable(2, entries)
 
 
 def test_box_table_rejects_bad_distributions():

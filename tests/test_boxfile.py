@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from nsboxes.boxfile import (
     load_box,
     save_box,
 )
+from nsboxes.distill import iterate
 
 
 def test_round_trip_through_text():
@@ -20,6 +22,15 @@ def test_round_trip_through_text():
 def test_round_trip_through_files(tmp_path):
     box = make_correlated(3, F(1, 3))
     path = tmp_path / "box.txt"
+    save_box(box, path)
+    assert load_box(path) == box
+
+
+def test_round_trip_past_the_decimal_digit_limit(tmp_path):
+    eps = iterate(2, F(1, 2), 13).final
+    assert len(str(Decimal(eps.denominator))) > 4300
+    box = make_correlated(2, eps)
+    path = tmp_path / "big.box"
     save_box(box, path)
     assert load_box(path) == box
 

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nsboxes.boxes import make_correlated, make_npr
+from nsboxes.boxes import MAX_EXHAUSTIVE_PARTIES, make_correlated, make_npr
 from nsboxes.boxfile import box_to_text, load_box, save_box
 from nsboxes.cli import main
 from nsboxes.distill import t_map
@@ -58,6 +58,14 @@ class TestBoxBuild:
         assert code == 0
         assert load_box(path) == make_npr(2)
 
+    def test_check_skips_locality_past_the_limit(self, tmp_path, capsys):
+        n = MAX_EXHAUSTIVE_PARTIES + 1
+        path = tmp_path / "even.box"
+        run(capsys, "box", "build", "--type", "even", "--n", str(n), "--out", str(path))
+        code, out, _ = run(capsys, "box", "check", str(path))
+        assert code == 0
+        assert f"local: skipped (supported up to {n - 1} parties)" in out
+
     def test_malformed_box_file_names_input(self, tmp_path, capsys):
         path = tmp_path / "bad.box"
         path.write_text("n 2\n00 00 1/2\n00 11 1/4\n")
@@ -101,9 +109,25 @@ class TestDistill:
         assert "fixed point" in out
         assert out.count("1,1,1") >= 1
 
+    def test_validate_up_to_the_party_limit(self, capsys):
+        limit = MAX_EXHAUSTIVE_PARTIES
+        code, out, _ = run(capsys, "distill", "--n", str(limit), "--eps", "1/3", "--validate")
+        assert code == 0
+        assert "wiring oracle: MATCH" in out
+        code, out, _ = run(
+            capsys, "distill", "--n", str(limit + 1), "--eps", "1/3", "--validate"
+        )
+        assert code == 0
+        assert f"wiring oracle: skipped (supported up to {limit} parties)" in out
+
     def test_bad_eps_precondition(self, capsys):
         code, _, _ = run(capsys, "distill", "--n", "2", "--eps", "3/2")
         assert code == 2
+
+    def test_invalid_fraction_message(self, capsys):
+        code, _, err = run(capsys, "distill", "--n", "2", "--eps", "abc")
+        assert code == 1
+        assert "error: invalid fraction 'abc'" in err
 
     def test_csv_written_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "t.csv"
@@ -156,6 +180,14 @@ class TestAnalyze:
         )
         assert code == 2
         assert "n_J" in err
+
+    def test_verify_size_limit(self, capsys):
+        n = MAX_EXHAUSTIVE_PARTIES + 1
+        expr = "*".join(f"x{i}" for i in range(1, n + 1))
+        code, out, err = run(capsys, "analyze", expr, "--n", str(n), "--verify")
+        assert code == 2
+        assert out == ""
+        assert f"up to {n - 1} parties" in err
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "analyze", "x1*x2*x3 + x3*x4 + x1", "--n", "4")
@@ -214,7 +246,9 @@ class TestUsageErrors:
         assert run(capsys, "frobnicate")[0] == 1
 
     def test_missing_required_option(self, capsys):
-        assert run(capsys, "distill", "--eps", "1/2")[0] == 1
+        code, _, err = run(capsys, "distill", "--eps", "1/2")
+        assert code == 1
+        assert "error: the following arguments are required: --n" in err
 
     def test_missing_function(self, capsys):
         assert run(capsys, "analyze", "--n", "3")[0] == 1

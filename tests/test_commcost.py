@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from nsboxes.boolfn import anf, nonlocal_support, parse_expr
-from nsboxes.boxes import bit_tuples
+from nsboxes.boxes import MAX_EXHAUSTIVE_PARTIES, bit_tuples
 from nsboxes.commcost import (
     CommGraph,
     NotAmplifiableError,
@@ -322,8 +322,10 @@ class TestEndToEnd:
             verify_plan_end_to_end(six_party, F(1, 2), 1)
 
     def test_size_limit(self):
-        f = parse_expr("x1*x2*x3*x4*x5*x6", 6)
-        with pytest.raises(ValueError):
+        n = MAX_EXHAUSTIVE_PARTIES + 1
+        f = parse_expr("*".join(f"x{i}" for i in range(1, n + 1)), n)
+        assert amplifiable(f)
+        with pytest.raises(ValueError, match=f"up to {n - 1} parties"):
             verify_plan_end_to_end(f, F(1, 2), 1)
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nsboxes.boxes import MAX_EXHAUSTIVE_PARTIES
 from nsboxes.distill import (
     Trajectory,
     UnreachableTargetError,
@@ -127,8 +128,9 @@ class TestWiringCrossValidation:
         assert validate_against_wiring(n, eps)
 
     def test_size_limit(self):
-        with pytest.raises(ValueError):
-            validate_against_wiring(6, F(1, 2))
+        limit = MAX_EXHAUSTIVE_PARTIES
+        with pytest.raises(ValueError, match=f"up to {limit} parties"):
+            validate_against_wiring(limit + 1, F(1, 2))
 
 
 def test_tv_distance_is_one_minus_eps():

@@ -1,8 +1,10 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
 
 from nsboxes.boxes import (
+    MAX_EXHAUSTIVE_PARTIES,
     bit_tuples,
     make_correlated,
     make_even_parity,
@@ -91,8 +93,20 @@ def test_mixture_of_deterministic_boxes_is_local():
 
 
 def test_size_limit():
-    with pytest.raises(ValueError):
-        decide_locality(make_even_parity(6))
+    limit = MAX_EXHAUSTIVE_PARTIES
+    with pytest.raises(ValueError, match=f"up to {limit} parties"):
+        decide_locality(make_even_parity(limit + 1))
+
+
+def test_results_are_frozen():
+    local = decide_locality(make_even_parity(2))
+    nonlocal_ = decide_locality(make_npr(2))
+    with pytest.raises(FrozenInstanceError):
+        local.model = None
+    with pytest.raises(FrozenInstanceError):
+        local.model.weights = {}
+    with pytest.raises(FrozenInstanceError):
+        nonlocal_.certificate.row_duals = {}
 
 
 class TestRealism:
