@@ -117,44 +117,43 @@ class BoxTable:
         return hash((self.n, tuple(self.entries.values())))
 
 
-def make_full_correlation_from_callable(n: int, f) -> BoxTable:
-    """Box with P(a|x) = 1/2^(n-1) iff parity(a) == f(x), else 0."""
+def _parity_box(n: int, odd_weight) -> BoxTable:
+    """Parity-symmetric box with weight q(x) = odd_weight(x) on odd parity.
+
+    P(a|x) = q(x)/2^(n-1) for odd parity(a), (1 - q(x))/2^(n-1) for even:
+    the correlator form of Werner & Wolf, PRA 64, 032112 (2001).
+    """
     _check_party_count(n)
-    w = Fraction(1, 2 ** (n - 1))
+    share = Fraction(1, 2 ** (n - 1))
+    outputs = [(a, parity(a)) for a in bit_tuples(n)]
     entries = {}
     for x in bit_tuples(n):
-        fx = f(x) & 1
-        for a in bit_tuples(n):
-            entries[(x, a)] = w if parity(a) == fx else ZERO
+        odd = odd_weight(x) * share
+        even = share - odd
+        for a, odd_parity in outputs:
+            entries[(x, a)] = odd if odd_parity else even
     return BoxTable(n, entries)
 
 
 def make_npr(n: int) -> BoxTable:
     """The n-party PR box: output parity equals the product of all inputs."""
-
-    def f(x):
-        prod = 1
-        for xi in x:
-            prod &= xi
-        return prod
-
-    return make_full_correlation_from_callable(n, f)
+    return _parity_box(n, all)
 
 
 def make_even_parity(n: int) -> BoxTable:
     """The n-party even-parity box: output parity 0 for every input."""
-    return make_full_correlation_from_callable(n, lambda x: 0)
+    return _parity_box(n, lambda x: 0)
 
 
 def make_correlated(n: int, eps: Fraction) -> BoxTable:
     """Entrywise mixture eps * PR + (1 - eps) * even-parity."""
     eps = check_weight(eps)
-    return mix([make_npr(n), make_even_parity(n)], [eps, 1 - eps])
+    return _parity_box(n, lambda x: eps * all(x))
 
 
 def make_full_correlation(f) -> BoxTable:
     """Full-correlation box of a Boolean function given in ANF form."""
-    return make_full_correlation_from_callable(f.n, f.evaluate)
+    return _parity_box(f.n, f.evaluate)
 
 
 def mix(boxes: list[BoxTable], weights: list[Fraction]) -> BoxTable:
@@ -213,10 +212,7 @@ def xor_star(functions: list, eps: Fraction) -> BoxTable:
     n = functions[0].n
     if any(f.n != n for f in functions):
         raise ValueError("all functions must share the variable count")
-    combined = make_full_correlation(functions[0])
-    for f in functions[1:]:
-        combined = xor_boxes(combined, make_full_correlation(f))
-    return mix([combined, make_even_parity(n)], [eps, 1 - eps])
+    return _parity_box(n, lambda x: eps * parity(f.evaluate(x) for f in functions))
 
 
 def marginal(p: BoxTable, parties: Iterable[int]) -> dict:

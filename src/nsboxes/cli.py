@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``box build``, ``box check``, ``distill``, ``analyze``, and
-``wiring eval``.  Exit codes: 0 success, 1 usage or parse failure, 2 an
-analysis precondition failed.  All output is deterministic.
+``wiring eval``.  Exit codes: 0 success, 1 usage, parse or I/O failure, 2
+an analysis precondition failed.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -99,11 +99,7 @@ def _cmd_box_build(args, parser) -> int:
 
 
 def _cmd_box_check(args) -> int:
-    try:
-        box = boxfile.load_box(args.file)
-    except (OSError, boxfile.BoxFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    box = boxfile.load_box(args.file)
     check = is_non_signaling(box)
     if check:
         print("non-signaling: yes")
@@ -185,11 +181,7 @@ def _cmd_analyze(args, parser) -> int:
 
 
 def _cmd_wiring_eval(args) -> int:
-    try:
-        boxes = [boxfile.load_box(path) for path in args.boxes]
-    except (OSError, boxfile.BoxFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    boxes = [boxfile.load_box(path) for path in args.boxes]
     n = boxes[0].n
     try:
         w = named_wiring(args.name, n)
@@ -268,6 +260,9 @@ def main(argv=None) -> int:
             return _cmd_wiring_eval(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    except (OSError, boxfile.BoxFileError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR

@@ -21,10 +21,14 @@ class UnreachableTargetError(ValueError):
     """Raised for targets the iteration can approach but never attain."""
 
 
-def t_map(n: int, eps: Fraction) -> Fraction:
-    """One boosting round: eps -> eps / 2^(n-1) * (2^(n-1) + 1 - eps)."""
+def _check_map_parties(n: int) -> None:
     if n < 2:
         raise ValueError("the boosting map needs at least two parties")
+
+
+def t_map(n: int, eps: Fraction) -> Fraction:
+    """One boosting round: eps -> eps / 2^(n-1) * (2^(n-1) + 1 - eps)."""
+    _check_map_parties(n)
     eps = check_weight(eps)
     half = Fraction(1, 2 ** (n - 1))
     return eps * half * (2 ** (n - 1) + 1 - eps)
@@ -36,8 +40,7 @@ def derivative_at_fixed_points(n: int) -> tuple[Fraction, Fraction]:
     The slope at 0 is 1 + 1/2^(n-1) > 1 (the fully mixed end repels) and at
     1 it is 1 + 1/2^(n-1) - 1/2^(n-2) < 1 (the PR end attracts).
     """
-    if n < 2:
-        raise ValueError("the boosting map needs at least two parties")
+    _check_map_parties(n)
     at_zero = 1 + Fraction(1, 2 ** (n - 1))
     at_one = 1 + Fraction(1, 2 ** (n - 1)) - Fraction(1, 2 ** (n - 2))
     return at_zero, at_one
@@ -62,6 +65,7 @@ class Trajectory:
 
 def iterate(n: int, eps0: Fraction, steps: int) -> Trajectory:
     """Trajectory of `steps` boosting rounds from eps0; uses 2^steps copies."""
+    _check_map_parties(n)
     eps0 = check_weight(eps0)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -77,6 +81,7 @@ def steps_to_reach(n: int, eps0: Fraction, target: Fraction) -> int:
     Requires 0 < eps0 < 1 and eps0 <= target < 1; a target of exactly 1 is
     approached but never attained and raises UnreachableTargetError.
     """
+    _check_map_parties(n)
     eps0 = Fraction(eps0)
     target = Fraction(target)
     if not 0 < eps0 < 1:

@@ -50,6 +50,8 @@ def _score(row_duals: dict, s: Strategy) -> Fraction:
 
 def deterministic_box(n: int, s: Strategy) -> BoxTable:
     """The box of strategy s; n must equal len(s)."""
+    if n != len(s):
+        raise ValueError(f"strategy has {len(s)} parties, n says {n}")
     return LocalModel({s: ONE}).to_box()
 
 

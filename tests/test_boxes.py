@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,28 @@ from nsboxes.boxes import (
     xor_boxes,
     xor_star,
 )
+
+
+WEIGHTS = [F(0), F(1, 3), F(1, 2), F(1)]
+
+
+def full_correlation_table(n, f):
+    """Reference table built entry by entry: 1/2^(n-1) iff parity(a) == f(x)."""
+    return BoxTable(n, {
+        (x, a): F(1, 2 ** (n - 1))
+        for x in bit_tuples(n)
+        for a in bit_tuples(n)
+        if sum(a) % 2 == f(x)
+    })
+
+
+def random_anf(rng, n):
+    monomials = [
+        {i + 1 for i in range(n) if mask >> i & 1}
+        for mask in range(2 ** n)
+        if rng.random() < 0.3
+    ]
+    return anf(n, monomials)
 
 
 def test_npr_two_party_values():
@@ -77,6 +100,14 @@ def test_correlated_mixture_entry():
     # 1/2 * 1/2 + 1/2 * 0 at the odd-parity output of input (1,1)
     box = make_correlated(2, F(1, 2))
     assert box.prob((1, 1), (0, 1)) == F(1, 4)
+    # every entry is eps * PR + (1 - eps) * even of the reference tables
+    for n in range(1, 6):
+        npr = full_correlation_table(n, all)
+        even = full_correlation_table(n, lambda x: 0)
+        for eps in WEIGHTS:
+            box = make_correlated(n, eps)
+            for key, p in box.entries.items():
+                assert p == eps * npr.entries[key] + (1 - eps) * even.entries[key]
 
 
 def test_correlated_eps_range():
@@ -97,10 +128,14 @@ def test_full_correlation_four_party_example_non_signaling():
 
 
 def test_mix_identity_and_restatement():
-    box = make_npr(3)
-    assert mix([box], [F(1)]) == box
-    mixed = mix([make_npr(2), make_even_parity(2)], [F(1, 2), F(1, 2)])
-    assert mixed == make_correlated(2, F(1, 2))
+    for n in range(1, 6):
+        npr = make_npr(n)
+        even = make_even_parity(n)
+        assert npr == full_correlation_table(n, all)
+        assert even == full_correlation_table(n, lambda x: 0)
+        assert mix([npr], [F(1)]) == npr
+        for eps in WEIGHTS:
+            assert mix([npr, even], [eps, 1 - eps]) == make_correlated(n, eps)
 
 
 def test_mix_validation():
@@ -158,6 +193,19 @@ def test_xor_star_combines_functions_before_mixing():
         [make_full_correlation(f1 ^ f2), make_even_parity(3)], [eps, 1 - eps]
     )
     assert xor_star([f1, f2], eps) == expected
+    # the general algebra agrees: XOR the perfect boxes, then mix once
+    rng = random.Random(3)
+    for n in range(1, 6):
+        for count in (2, 3):
+            functions = [random_anf(rng, n) for _ in range(count)]
+            tables = [full_correlation_table(n, f.evaluate) for f in functions]
+            assert [make_full_correlation(f) for f in functions] == tables
+            combined = tables[0]
+            for table in tables[1:]:
+                combined = xor_boxes(combined, table)
+            for eps in WEIGHTS:
+                expected = mix([combined, make_even_parity(n)], [eps, 1 - eps])
+                assert xor_star(functions, eps) == expected
 
 
 def test_xor_star_is_not_xor_of_independent_mixtures():

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,8 @@ from nsboxes.boxes import MAX_EXHAUSTIVE_PARTIES, make_correlated, make_npr
 from nsboxes.boxfile import box_to_text, load_box, save_box
 from nsboxes.cli import main
 from nsboxes.distill import t_map
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -123,6 +129,9 @@ class TestDistill:
     def test_bad_eps_precondition(self, capsys):
         code, _, _ = run(capsys, "distill", "--n", "2", "--eps", "3/2")
         assert code == 2
+        code, _, err = run(capsys, "distill", "--n", "0", "--eps", "1/2", "--steps", "0")
+        assert code == 2
+        assert "error: the boosting map needs at least two parties" in err
 
     def test_invalid_fraction_message(self, capsys):
         code, _, err = run(capsys, "distill", "--n", "2", "--eps", "abc")
@@ -252,3 +261,41 @@ class TestUsageErrors:
 
     def test_missing_function(self, capsys):
         assert run(capsys, "analyze", "--n", "3")[0] == 1
+
+    def test_io_failures_print_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        commands = [
+            ("box", "build", "--type", "npr", "--n", "2", "--out", str(missing / "x.box")),
+            ("box", "check", str(missing / "x.box")),
+            ("wiring", "eval", "--name", "identity", str(missing / "x.box")),
+        ]
+        for argv in commands:
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestEntryPoint:
+    """`python -m nsboxes.cli`, the entry point the README documents."""
+
+    def run_module(self, tmp_path, *argv):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "nsboxes.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_exit_codes(self, tmp_path):
+        proc = self.run_module(tmp_path, "box", "build", "--type", "npr", "--n", "2")
+        assert proc.returncode == 0
+        assert proc.stdout == box_to_text(make_npr(2))
+        proc = self.run_module(
+            tmp_path, "box", "build", "--type", "npr", "--n", "2",
+            "--out", str(tmp_path / "missing" / "x.box"),
+        )
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        proc = self.run_module(tmp_path, "distill", "--n", "2", "--eps", "3/2")
+        assert proc.returncode == 2

@@ -44,8 +44,13 @@ class TestMap:
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             t_map(2, F(3, 2))
-        with pytest.raises(ValueError):
-            t_map(1, F(1, 2))
+        for bad_n in (1, 0, -4):
+            with pytest.raises(ValueError, match="at least two parties"):
+                t_map(bad_n, F(1, 2))
+            with pytest.raises(ValueError, match="at least two parties"):
+                derivative_at_fixed_points(bad_n)
+            with pytest.raises(ValueError, match="at least two parties"):
+                iterate(bad_n, F(1, 2), 0)
 
 
 class TestDerivatives:
@@ -119,6 +124,9 @@ class TestStepsToReach:
             steps_to_reach(2, F(0), F(1, 2))
         with pytest.raises(ValueError):
             steps_to_reach(2, F(1, 2), F(1, 4))
+        for bad_n in (1, 0, -4):
+            with pytest.raises(ValueError, match="at least two parties"):
+                steps_to_reach(bad_n, F(1, 2), F(1, 2))
 
 
 class TestWiringCrossValidation:

@@ -81,6 +81,8 @@ def test_deterministic_box_is_local():
     model = is_local(box)
     assert model is not None
     assert model.to_box() == box
+    with pytest.raises(ValueError, match="n says 3"):
+        deterministic_box(3, ((0, 1), (1, 1)))
 
 
 def test_mixture_of_deterministic_boxes_is_local():
