@@ -52,9 +52,20 @@ def check_exhaustive_party_count(n: int, what: str) -> None:
         )
 
 
+def _exact(value, what: str) -> Fraction:
+    """value as a Fraction; a float raises TypeError.
+
+    A float's binary expansion (0.1 is 3602879701896397/2^55) is almost
+    never the number meant.
+    """
+    if isinstance(value, float):
+        raise TypeError(f"float {what}: {value!r}; pass an exact Fraction")
+    return Fraction(value)
+
+
 def check_weight(eps) -> Fraction:
     """The mixing weight eps as a Fraction, required to lie in [0, 1]."""
-    eps = Fraction(eps)
+    eps = _exact(eps, "weight")
     if not 0 <= eps <= 1:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
     return eps
@@ -81,12 +92,7 @@ class BoxTable:
             for a in bit_tuples(self.n):
                 p = self.entries.get((x, a), ZERO)
                 if not isinstance(p, Fraction):
-                    if isinstance(p, float):
-                        raise TypeError(
-                            f"float probability {p!r} at x={x}, a={a}; "
-                            "pass an exact Fraction"
-                        )
-                    p = Fraction(p)
+                    p = _exact(p, f"probability at x={x}, a={a}")
                 if p < 0:
                     raise ValueError(f"negative probability at x={x}, a={a}")
                 full[(x, a)] = p
@@ -165,7 +171,7 @@ def mix(boxes: list[BoxTable], weights: list[Fraction]) -> BoxTable:
     n = boxes[0].n
     if any(b.n != n for b in boxes):
         raise ValueError("mixed boxes must share the party count")
-    weights = [Fraction(w) for w in weights]
+    weights = [_exact(w, "weight") for w in weights]
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
     if sum(weights) != 1:

@@ -28,6 +28,10 @@ USAGE_ERROR = 1
 PRECONDITION_ERROR = 2
 
 
+class _UsageError(Exception):
+    """A command line the parser accepts but the command cannot use."""
+
+
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -39,27 +43,29 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        print(f"error: invalid fraction {text!r}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise _UsageError(f"invalid fraction {text!r}") from None
 
 
 def _load_function(args, parser):
-    if getattr(args, "expr", None):
+    """The function from exactly one of an expression and --truth-table."""
+    if args.expr and args.truth_table:
+        raise _UsageError("give a function expression or a truth table, not both")
+    if args.expr:
         if args.n is None:
-            print("error: --n is required with an expression", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
+            raise _UsageError("--n is required with an expression")
         try:
             return parse_expr(args.expr, args.n)
         except ExprSyntaxError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
-    if getattr(args, "truth_table", None):
-        try:
-            return anf_from_truth_table(args.truth_table)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
-    parser.error("a function expression or truth table is required")
+            raise _UsageError(exc) from None
+    if not args.truth_table:
+        parser.error("a function expression or truth table is required")
+    try:
+        f = anf_from_truth_table(args.truth_table)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+    if args.n is not None and f.n != args.n:
+        raise _UsageError(f"function has {f.n} variables, --n says {args.n}")
+    return f
 
 
 def _write_output(text: str, out_path) -> None:
@@ -72,33 +78,23 @@ def _write_output(text: str, out_path) -> None:
 
 def _cmd_box_build(args, parser) -> int:
     kind = args.type
+    if args.n is None and kind != "fc":
+        raise _UsageError("--n is required")
     if kind == "npr":
         box = make_npr(args.n)
     elif kind == "even":
         box = make_even_parity(args.n)
     elif kind == "correlated":
         if args.eps is None:
-            print("error: --eps is required for correlated boxes", file=sys.stderr)
-            return USAGE_ERROR
-        eps = _parse_fraction(args.eps)
-        if not 0 <= eps <= 1:
-            print(f"error: eps must be in [0, 1], got {eps}", file=sys.stderr)
-            return USAGE_ERROR
-        box = make_correlated(args.n, eps)
+            raise _UsageError("--eps is required for correlated boxes")
+        box = make_correlated(args.n, _parse_fraction(args.eps))
     else:  # fc
-        f = _load_function(args, parser)
-        if args.n is not None and f.n != args.n:
-            print(
-                f"error: function has {f.n} variables, --n says {args.n}",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
-        box = make_full_correlation(f)
+        box = make_full_correlation(_load_function(args, parser))
     _write_output(boxfile.box_to_text(box), args.out)
     return 0
 
 
-def _cmd_box_check(args) -> int:
+def _cmd_box_check(args, parser) -> int:
     box = boxfile.load_box(args.file)
     check = is_non_signaling(box)
     if check:
@@ -132,11 +128,10 @@ def _cmd_box_check(args) -> int:
     return 0
 
 
-def _cmd_distill(args) -> int:
+def _cmd_distill(args, parser) -> int:
     eps = _parse_fraction(args.eps)
     if not 0 < eps <= 1:
-        print(f"error: eps must be in (0, 1], got {eps}", file=sys.stderr)
-        return PRECONDITION_ERROR
+        raise ValueError(f"eps must be in (0, 1], got {eps}")
     trajectory = distill.iterate(args.n, eps, args.steps)
     _write_output(distill.trajectory_csv(trajectory), args.out)
     if eps == 1:
@@ -159,39 +154,20 @@ def _cmd_distill(args) -> int:
 
 def _cmd_analyze(args, parser) -> int:
     f = _load_function(args, parser)
-    verify_eps = None
-    verify_steps = None
+    verify_eps = verify_steps = None
     if args.verify:
         verify_eps = _parse_fraction(args.eps) if args.eps else Fraction(1, 2)
         verify_steps = args.steps
-        if not 0 < verify_eps <= 1:
-            print(f"error: eps must be in (0, 1]", file=sys.stderr)
-            return PRECONDITION_ERROR
-        verdict = commcost.amplifiable(f)
-        if not verdict:
-            print(
-                "error: end-to-end verification needs an amplifiable function: "
-                + "; ".join(verdict.reasons),
-                file=sys.stderr,
-            )
-            return PRECONDITION_ERROR
-    report = commcost.report_text(f, verify_eps=verify_eps, verify_steps=verify_steps)
-    _write_output(report, args.out)
+    _write_output(commcost.report_text(f, verify_eps, verify_steps), args.out)
     return 0
 
 
-def _cmd_wiring_eval(args) -> int:
+def _cmd_wiring_eval(args, parser) -> int:
     boxes = [boxfile.load_box(path) for path in args.boxes]
-    n = boxes[0].n
-    try:
-        w = named_wiring(args.name, n)
-        if args.dump_rules:
-            sys.stdout.write(wiring_to_text(w, name=args.name))
-        result = evaluate_wiring(boxes, w)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PRECONDITION_ERROR
-    _write_output(boxfile.box_to_text(result), args.out)
+    w = named_wiring(args.name, boxes[0].n)
+    if args.dump_rules:
+        sys.stdout.write(wiring_to_text(w, name=args.name))
+    _write_output(boxfile.box_to_text(evaluate_wiring(boxes, w)), args.out)
     return 0
 
 
@@ -209,10 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--f", dest="expr", default=None, help="ANF expression for fc")
     build.add_argument("--truth-table", default=None, help="bitstring, x=0..0 first")
     build.add_argument("--out", default=None)
+    build.set_defaults(run=_cmd_box_build)
 
     check = box_sub.add_parser("check", help="test a box file")
     check.add_argument("file")
     check.add_argument("--skip-local", action="store_true")
+    check.set_defaults(run=_cmd_box_check)
 
     dist = sub.add_parser("distill", help="iterate the boosting map")
     dist.add_argument("--n", type=int, required=True)
@@ -220,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--steps", type=int, default=1)
     dist.add_argument("--validate", action="store_true")
     dist.add_argument("--out", default=None)
+    dist.set_defaults(run=_cmd_distill)
 
     analyze = sub.add_parser("analyze", help="channel-count analysis of a function")
     analyze.add_argument("expr", nargs="?", default=None)
@@ -229,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--eps", default=None)
     analyze.add_argument("--steps", type=int, default=1)
     analyze.add_argument("--out", default=None)
+    analyze.set_defaults(run=_cmd_analyze)
 
     wiring = sub.add_parser("wiring", help="evaluate a named wiring on box files")
     wiring_sub = wiring.add_subparsers(dest="wiring_command", required=True)
@@ -237,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     weval.add_argument("--dump-rules", action="store_true")
     weval.add_argument("boxes", nargs="+")
     weval.add_argument("--out", default=None)
+    weval.set_defaults(run=_cmd_wiring_eval)
 
     return parser
 
@@ -245,28 +226,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "box":
-            if args.box_command == "build":
-                if args.n is None and args.type in ("npr", "even", "correlated"):
-                    print("error: --n is required", file=sys.stderr)
-                    return USAGE_ERROR
-                return _cmd_box_build(args, parser)
-            return _cmd_box_check(args)
-        if args.command == "distill":
-            return _cmd_distill(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args, parser)
-        if args.command == "wiring":
-            return _cmd_wiring_eval(args)
+        return args.run(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    except (OSError, boxfile.BoxFileError) as exc:
+    except (_UsageError, OSError, boxfile.BoxFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
-    return 0
 
 
 if __name__ == "__main__":

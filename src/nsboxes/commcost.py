@@ -28,6 +28,7 @@ from .boxes import (
     ZERO,
     bit_tuples,
     check_exhaustive_party_count,
+    check_weight,
     make_correlated,
     make_full_correlation,
     mix,
@@ -254,7 +255,6 @@ class AmplificationPlan:
     n_scratch: int
     n_distill: int
     bound: int
-    amplifiable: bool
 
 
 def plan(f: AnfFunction) -> AmplificationPlan:
@@ -302,7 +302,6 @@ def plan(f: AnfFunction) -> AmplificationPlan:
         n_scratch=n_scratch(f),
         n_distill=len(distill_graph.edges),
         bound=n_distill_bound(f),
-        amplifiable=True,
     )
 
 
@@ -353,9 +352,9 @@ def verify_plan_end_to_end(
     stage lands exactly on its predicted table and the final table equals
     eps_m * (perfect box) + (1 - eps_m) * (local residue box).
     """
-    eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
+    eps = check_weight(eps)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
 
@@ -413,7 +412,19 @@ def report_text(
     verify_eps: Fraction | None = None,
     verify_steps: int | None = None,
 ) -> str:
-    """Structured plain-text analysis report for a function."""
+    """Structured plain-text analysis report for a function.
+
+    With both `verify_eps` and `verify_steps` given, the report ends with
+    the end-to-end check of the plan; asking for it on a function that is
+    not amplifiable raises NotAmplifiableError.
+    """
+    verify = verify_eps is not None and verify_steps is not None
+    verdict = amplifiable(f)
+    if verify and not verdict:
+        raise NotAmplifiableError(
+            "end-to-end verification needs an amplifiable function: "
+            + "; ".join(verdict.reasons)
+        )
     support = nonlocal_support(f)
     lines = [f"function: {f.to_text()}", f"parties: {f.n}"]
     if not support.j_set:
@@ -444,7 +455,6 @@ def report_text(
     lines.append(
         f"scratch path condition: {'ok' if verify_path_condition(g, support) else 'VIOLATED'}"
     )
-    verdict = amplifiable(f)
     if not verdict:
         lines.append("amplifiable: no (" + "; ".join(verdict.reasons) + ")")
         return "\n".join(lines) + "\n"
@@ -456,7 +466,7 @@ def report_text(
     lines.append(f"forwarding edges: {_format_edges(the_plan.distill_graph)}")
     lines.append(f"n_distill: {the_plan.n_distill}")
     lines.append(f"n_distill bound (formula): {the_plan.bound}")
-    if verify_eps is not None and verify_steps is not None:
+    if verify:
         ok = verify_plan_end_to_end(f, verify_eps, verify_steps)
         lines.append(
             f"end-to-end check (eps={verify_eps}, steps={verify_steps}): "

@@ -61,6 +61,10 @@ class LocalModel:
 
     weights: dict[Strategy, Fraction]
 
+    def __post_init__(self):
+        if not self.weights:
+            raise ValueError("a local model needs at least one strategy")
+
     @property
     def n(self) -> int:
         some = next(iter(self.weights))

@@ -19,6 +19,8 @@ from nsboxes.boxes import (
     xor_boxes,
     xor_star,
 )
+from nsboxes.commcost import verify_plan_end_to_end
+from nsboxes.distill import iterate, t_map
 
 
 WEIGHTS = [F(0), F(1, 3), F(1, 2), F(1)]
@@ -332,6 +334,17 @@ def test_box_table_rejects_float_probabilities():
     }
     with pytest.raises(TypeError, match="float probability"):
         BoxTable(2, entries)
+    f = parse_expr("x1*x2", 2)
+    for call in (
+        lambda: make_correlated(2, 0.1),
+        lambda: mix([make_npr(2), make_even_parity(2)], [0.5, 0.5]),
+        lambda: xor_star([f], 0.5),
+        lambda: t_map(2, 0.5),
+        lambda: iterate(2, 0.5, 1),
+        lambda: verify_plan_end_to_end(f, 0.5, 1),
+    ):
+        with pytest.raises(TypeError, match="float weight"):
+            call()
 
 
 def test_box_table_rejects_bad_distributions():

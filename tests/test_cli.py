@@ -276,6 +276,38 @@ class TestUsageErrors:
             assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestErrorMapping:
+    """Each rule lives in one place, and each fault maps to one exit code."""
+
+    @pytest.mark.parametrize("argv, code, line", [
+        pytest.param(
+            ("box", "build", "--type", "correlated", "--n", "2", "--eps", "3/2"),
+            2, "error: eps must be in [0, 1], got 3/2", id="correlated-eps",
+        ),
+        pytest.param(
+            ("analyze", "x1*x2*x3 + x3*x4 + x1", "--n", "4", "--verify", "--eps", "3/2"),
+            2, "error: eps must be in (0, 1], got 3/2", id="analyze-verify-eps",
+        ),
+        pytest.param(
+            ("box", "build", "--type", "fc", "--n", "2", "--f", "x1*x2",
+             "--truth-table", "0110"),
+            1, "error: give a function expression or a truth table, not both",
+            id="build-both-sources",
+        ),
+        pytest.param(
+            ("analyze", "x1*x2", "--n", "2", "--truth-table", "0110"),
+            1, "error: give a function expression or a truth table, not both",
+            id="analyze-both-sources",
+        ),
+        pytest.param(
+            ("analyze", "--truth-table", "0110", "--n", "3"),
+            1, "error: function has 2 variables, --n says 3", id="analyze-table-mismatch",
+        ),
+    ])
+    def test_exit_code_and_message(self, capsys, argv, code, line):
+        assert run(capsys, *argv) == (code, "", line + "\n")
+
+
 class TestEntryPoint:
     """`python -m nsboxes.cli`, the entry point the README documents."""
 

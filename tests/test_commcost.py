@@ -350,5 +350,17 @@ class TestReport:
         text = report_text(parse_expr("x1", 3))
         assert "local function; nothing to simulate" in text
 
+    @pytest.mark.parametrize("text, n", [
+        ("x1*x2 + x2*x3 + x4*x5*x6 + x5", 6),
+        ("x1", 3),
+    ])
+    def test_verification_needs_an_amplifiable_function(self, text, n):
+        f = parse_expr(text, n)
+        with pytest.raises(
+            NotAmplifiableError,
+            match="end-to-end verification needs an amplifiable function: ",
+        ):
+            report_text(f, F(1, 2), 1)
+
     def test_reports_are_deterministic(self, four_party):
         assert report_text(four_party) == report_text(four_party)

@@ -85,6 +85,11 @@ def test_deterministic_box_is_local():
         deterministic_box(3, ((0, 1), (1, 1)))
 
 
+def test_empty_local_model_rejected():
+    with pytest.raises(ValueError, match="at least one strategy"):
+        LocalModel({})
+
+
 def test_mixture_of_deterministic_boxes_is_local():
     s1 = ((0, 0), (1, 1))
     s2 = ((0, 1), (0, 1))
