@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .boxes import bit_tuples
+
 Monomial = frozenset[int]
 
 
@@ -50,13 +52,8 @@ class AnfFunction:
             raise ValueError("XOR of functions over different variable counts")
         return AnfFunction(self.n, self.monomials ^ other.monomials)
 
-    def degree(self) -> int:
-        return max((len(m) for m in self.monomials), default=0)
-
     def truth_table(self) -> str:
         """Bitstring of values, first character at x = (0, ..., 0)."""
-        from .boxes import bit_tuples
-
         return "".join(str(self.evaluate(x)) for x in bit_tuples(self.n))
 
     def to_text(self) -> str:

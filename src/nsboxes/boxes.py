@@ -52,6 +52,12 @@ def check_exhaustive_party_count(n: int, what: str) -> None:
         )
 
 
+def check_boosting_party_count(n: int) -> None:
+    """Refuse fewer than two parties for the boosting map and its wiring."""
+    if n < 2:
+        raise ValueError("the boosting map needs at least two parties")
+
+
 def _exact(value, what: str) -> Fraction:
     """value as a Fraction; a float raises TypeError.
 

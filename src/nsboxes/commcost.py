@@ -61,22 +61,16 @@ class CommGraph:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"edge ({u}, {v}) outside vertices 1..{self.n}")
 
-    def reachable_from(self, start: int) -> frozenset[int]:
-        seen = {start}
-        frontier = [start]
+    def has_path(self, u: int, v: int) -> bool:
+        seen = {u}
+        frontier = [u]
         while frontier:
-            u = frontier.pop()
+            w = frontier.pop()
             for a, b in self.edges:
-                if a == u and b not in seen:
+                if a == w and b not in seen:
                     seen.add(b)
                     frontier.append(b)
-        return frozenset(seen)
-
-    def has_path(self, u: int, v: int) -> bool:
-        return v in self.reachable_from(u)
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return v in seen
 
 
 def _chain(vertices: list[int]) -> set[tuple[int, int]]:
@@ -142,6 +136,16 @@ class Decomposition:
         return combined
 
 
+def _single_block_support(f: AnfFunction, what: str) -> NonlocalSupport:
+    """The nonlocal support of f, which `what` requires to be one block."""
+    support = nonlocal_support(f)
+    if support.n_j != 1:
+        raise SupportConditionError(
+            f"{what} requires a single block, found {support.n_j}"
+        )
+    return support
+
+
 def decompose(f: AnfFunction) -> Decomposition:
     """Split a single-block function into monomial sub-boxes plus residue.
 
@@ -150,11 +154,7 @@ def decompose(f: AnfFunction) -> Decomposition:
     parties carried by no monomial remain as constant-input members of the
     last sub-box, so at most one part feeds constants.
     """
-    support = nonlocal_support(f)
-    if support.n_j != 1:
-        raise SupportConditionError(
-            f"decomposition requires a single block, found {support.n_j}"
-        )
+    support = _single_block_support(f, "decomposition")
     order = sorted(support.j_set, key=lambda m: (-len(m), sorted(m)))
     outside = frozenset(range(1, f.n + 1)) - support.union
     parts = []
@@ -169,11 +169,7 @@ def n_distill_bound(f: AnfFunction) -> int:
 
     Equals n - 1 - max m_I, or 0 when the best monomial covers all parties.
     """
-    support = nonlocal_support(f)
-    if support.n_j != 1:
-        raise SupportConditionError(
-            f"the boosting bound requires a single block, found {support.n_j}"
-        )
+    support = _single_block_support(f, "the boosting bound")
     best = max(support.m_values.values())
     if best == f.n:
         return 0
@@ -404,7 +400,7 @@ def _format_monomial(mono: frozenset[int]) -> str:
 def _format_edges(g: CommGraph) -> str:
     if not g.edges:
         return "(none)"
-    return ", ".join(f"({u}->{v})" for u, v in g.sorted_edges())
+    return ", ".join(f"({u}->{v})" for u, v in sorted(g.edges))
 
 
 def report_text(

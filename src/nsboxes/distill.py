@@ -13,7 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boxes import check_exhaustive_party_count, check_weight, make_correlated
+from .boxes import (
+    check_boosting_party_count,
+    check_exhaustive_party_count,
+    check_weight,
+    make_correlated,
+)
 from .wiring import bs_wiring, evaluate_wiring
 
 
@@ -21,14 +26,9 @@ class UnreachableTargetError(ValueError):
     """Raised for targets the iteration can approach but never attain."""
 
 
-def _check_map_parties(n: int) -> None:
-    if n < 2:
-        raise ValueError("the boosting map needs at least two parties")
-
-
 def t_map(n: int, eps: Fraction) -> Fraction:
     """One boosting round: eps -> eps / 2^(n-1) * (2^(n-1) + 1 - eps)."""
-    _check_map_parties(n)
+    check_boosting_party_count(n)
     eps = check_weight(eps)
     half = Fraction(1, 2 ** (n - 1))
     return eps * half * (2 ** (n - 1) + 1 - eps)
@@ -40,7 +40,7 @@ def derivative_at_fixed_points(n: int) -> tuple[Fraction, Fraction]:
     The slope at 0 is 1 + 1/2^(n-1) > 1 (the fully mixed end repels) and at
     1 it is 1 + 1/2^(n-1) - 1/2^(n-2) < 1 (the PR end attracts).
     """
-    _check_map_parties(n)
+    check_boosting_party_count(n)
     at_zero = 1 + Fraction(1, 2 ** (n - 1))
     at_one = 1 + Fraction(1, 2 ** (n - 1)) - Fraction(1, 2 ** (n - 2))
     return at_zero, at_one
@@ -65,7 +65,7 @@ class Trajectory:
 
 def iterate(n: int, eps0: Fraction, steps: int) -> Trajectory:
     """Trajectory of `steps` boosting rounds from eps0; uses 2^steps copies."""
-    _check_map_parties(n)
+    check_boosting_party_count(n)
     eps0 = check_weight(eps0)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -81,9 +81,7 @@ def steps_to_reach(n: int, eps0: Fraction, target: Fraction) -> int:
     Requires 0 < eps0 < 1 and eps0 <= target < 1; a target of exactly 1 is
     approached but never attained and raises UnreachableTargetError.
     """
-    _check_map_parties(n)
-    eps0 = Fraction(eps0)
-    target = Fraction(target)
+    check_boosting_party_count(n)
     if not 0 < eps0 < 1:
         raise ValueError(f"eps0 must satisfy 0 < eps0 < 1, got {eps0}")
     if target >= 1:
@@ -92,7 +90,8 @@ def steps_to_reach(n: int, eps0: Fraction, target: Fraction) -> int:
         )
     if target < eps0:
         raise ValueError("target must be at least eps0")
-    eps = eps0
+    eps = check_weight(eps0)
+    target = check_weight(target)
     m = 0
     while eps < target:
         eps = t_map(n, eps)

@@ -13,20 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .boxes import ONE, ZERO, BoxTable, bit_tuples
+from .boxes import ONE, ZERO, BoxTable, bit_tuples, check_boosting_party_count
 
+# A party's history is one int slot h: bit t of h holds box t+1's output.
 # step table:  table[x_i][r][h] -> input bit, h encoding prior outputs
 # output table: table[x_i][r][h] -> final bit, h encoding all m outputs
 Table = tuple
-
-
-def history_index(outputs) -> int:
-    """Encode a tuple of prior output bits as a table slot (step 1 first)."""
-    idx = 0
-    for t, bit in enumerate(outputs):
-        idx |= bit << t
-    return idx
 
 
 @dataclass(frozen=True)
@@ -75,12 +69,21 @@ def _check_table(table, n_r: int, n_hist: int) -> None:
                 raise ValueError("table entries must be bits")
 
 
-def _histories(length: int):
-    """History tuples ordered by their history_index slot."""
-    return [
-        tuple((idx >> t) & 1 for t in range(length))
-        for idx in range(2 ** length)
+def _tabulate(rule, n_r: int, length: int) -> Table:
+    """table[x_i][r][h] = rule(x_i, r, history) over histories of `length` bits.
+
+    The rule sees slot h decoded to a tuple, step 1's output first.
+    """
+    histories = [
+        tuple((h >> t) & 1 for t in range(length)) for h in range(2 ** length)
     ]
+    return tuple(
+        tuple(
+            tuple(int(rule(x_i, r, hist)) & 1 for hist in histories)
+            for r in range(n_r)
+        )
+        for x_i in (0, 1)
+    )
 
 
 def make_wiring(n: int, m: int, input_rule, output_rule, randomness=None) -> Wiring:
@@ -95,33 +98,16 @@ def make_wiring(n: int, m: int, input_rule, output_rule, randomness=None) -> Wir
         randomness = (ONE,)
     randomness = tuple(Fraction(w) for w in randomness)
     n_r = len(randomness)
-    parties = []
-    for i in range(n):
-        step_tables = []
-        for j in range(m):
-            table = tuple(
-                tuple(
-                    tuple(
-                        int(input_rule(i, j, x_i, r, hist)) & 1
-                        for hist in _histories(j)
-                    )
-                    for r in range(n_r)
-                )
-                for x_i in (0, 1)
-            )
-            step_tables.append(table)
-        out_table = tuple(
-            tuple(
-                tuple(
-                    int(output_rule(i, x_i, r, outs)) & 1
-                    for outs in _histories(m)
-                )
-                for r in range(n_r)
-            )
-            for x_i in (0, 1)
+    parties = tuple(
+        PartyRules(
+            steps=tuple(
+                _tabulate(partial(input_rule, i, j), n_r, j) for j in range(m)
+            ),
+            output=_tabulate(partial(output_rule, i), n_r, m),
         )
-        parties.append(PartyRules(steps=tuple(step_tables), output=out_table))
-    return Wiring(n=n, m=m, randomness=randomness, parties=tuple(parties))
+        for i in range(n)
+    )
+    return Wiring(n=n, m=m, randomness=randomness, parties=parties)
 
 
 def evaluate_wiring(boxes: list[BoxTable], w: Wiring) -> BoxTable:
@@ -136,80 +122,61 @@ def evaluate_wiring(boxes: list[BoxTable], w: Wiring) -> BoxTable:
     if any(b.n != w.n for b in boxes):
         raise ValueError("boxes and wiring must share the party count")
     n = w.n
-    entries = {(x, c): ZERO for x in bit_tuples(n) for c in bit_tuples(n)}
-    supports = [
-        {x: box.support(x) for x in bit_tuples(n)} for box in boxes
-    ]
-    for x in bit_tuples(n):
+    inputs = list(bit_tuples(n))
+    entries = {(x, c): ZERO for x in inputs for c in inputs}
+    supports = [{x: box.support(x) for x in inputs} for box in boxes]
+    for x in inputs:
         for r, r_weight in enumerate(w.randomness):
             if r_weight == 0:
                 continue
-            # paths: (probability, per-party output history)
-            paths = [(r_weight, tuple(() for _ in range(n)))]
+            # paths: (probability, per-party history slot)
+            paths = [(r_weight, (0,) * n)]
             for j in range(w.m):
+                rows = [rules.steps[j][x_i][r] for rules, x_i in zip(w.parties, x)]
                 new_paths = []
-                for prob, hists in paths:
-                    u = tuple(
-                        w.parties[i].steps[j][x[i]][r][history_index(hists[i])]
-                        for i in range(n)
-                    )
+                for prob, slots in paths:
+                    u = tuple(row[h] for row, h in zip(rows, slots))
                     for b, pb in supports[j][u]:
                         new_paths.append(
-                            (
-                                prob * pb,
-                                tuple(
-                                    hists[i] + (b[i],) for i in range(n)
-                                ),
-                            )
+                            (prob * pb, tuple(h | bit << j for h, bit in zip(slots, b)))
                         )
                 paths = new_paths
-            for prob, hists in paths:
-                c = tuple(
-                    w.parties[i].output[x[i]][r][history_index(hists[i])]
-                    for i in range(n)
-                )
-                entries[(x, c)] += prob
+            rows = [rules.output[x_i][r] for rules, x_i in zip(w.parties, x)]
+            for prob, slots in paths:
+                entries[(x, tuple(row[h] for row, h in zip(rows, slots)))] += prob
     return BoxTable(n, entries)
+
+
+def _forward_input(i, j, x_i, r, history):
+    return x_i
+
+
+def _xor_outputs(i, x_i, r, outs):
+    return outs[0] ^ outs[1]
 
 
 def bs_wiring(n: int) -> Wiring:
     """Two-box boosting wiring: feed x, then x*(1 - a), output a XOR b."""
-    if n < 2:
-        raise ValueError("the boosting wiring needs at least two parties")
+    check_boosting_party_count(n)
 
     def input_rule(i, j, x_i, r, history):
-        if j == 0:
-            return x_i
-        return x_i * (1 - history[0])
+        return x_i if j == 0 else x_i * (1 - history[0])
 
-    def output_rule(i, x_i, r, outs):
-        return outs[0] ^ outs[1]
-
-    return make_wiring(n, 2, input_rule, output_rule)
+    return make_wiring(n, 2, input_rule, _xor_outputs)
 
 
 def identity_wiring(n: int) -> Wiring:
     """Single-box wiring that forwards inputs and outputs untouched."""
 
-    def input_rule(i, j, x_i, r, history):
-        return x_i
-
     def output_rule(i, x_i, r, outs):
         return outs[0]
 
-    return make_wiring(n, 1, input_rule, output_rule)
+    return make_wiring(n, 1, _forward_input, output_rule)
 
 
 def xor_wiring(n: int) -> Wiring:
     """Non-adaptive two-box wiring: same input to both, output a XOR b."""
-
-    def input_rule(i, j, x_i, r, history):
-        return x_i
-
-    def output_rule(i, x_i, r, outs):
-        return outs[0] ^ outs[1]
-
-    return make_wiring(n, 2, input_rule, output_rule)
+    return make_wiring(n, 2, _forward_input, _xor_outputs)
 
 
 NAMED_WIRINGS = {
@@ -236,30 +203,26 @@ def compose_triangle(a: BoxTable, b: BoxTable) -> BoxTable:
     return evaluate_wiring([a, b], bs_wiring(a.n))
 
 
+def _table_text(table: Table, label: str, length: int) -> str:
+    """One table's cells; a history prints step 1's output first, "-" if empty."""
+    cells = []
+    for x_i, per_x in enumerate(table):
+        for r, per_r in enumerate(per_x):
+            for h, bit in enumerate(per_r):
+                hist = format(h, f"0{length}b")[::-1] if length else "-"
+                cells.append(f"x={x_i} r={r} {label}={hist} -> {bit}")
+    return "; ".join(cells)
+
+
 def wiring_to_text(w: Wiring, name: str | None = None) -> str:
     """Deterministic plain-text listing of all rule tables."""
-    lines = []
-    head = f"wiring n={w.n} boxes={w.m} randomness={len(w.randomness)}"
-    if name:
-        head = f"wiring {name} n={w.n} boxes={w.m} randomness={len(w.randomness)}"
-    lines.append(head)
+    label = f" {name}" if name else ""
+    lines = [f"wiring{label} n={w.n} boxes={w.m} randomness={len(w.randomness)}"]
     for r, weight in enumerate(w.randomness):
         lines.append(f"r={r} weight={weight}")
     for i, rules in enumerate(w.parties, start=1):
         lines.append(f"party {i}:")
-        for j, table in enumerate(rules.steps, start=1):
-            cells = []
-            for x_i in (0, 1):
-                for r in range(len(w.randomness)):
-                    for h, bit in enumerate(table[x_i][r]):
-                        hist = format(h, f"0{j - 1}b")[::-1] if j > 1 else "-"
-                        cells.append(f"x={x_i} r={r} seen={hist} -> {bit}")
-            lines.append(f"  box {j} input: " + "; ".join(cells))
-        cells = []
-        for x_i in (0, 1):
-            for r in range(len(w.randomness)):
-                for h, bit in enumerate(rules.output[x_i][r]):
-                    hist = format(h, f"0{w.m}b")[::-1]
-                    cells.append(f"x={x_i} r={r} outs={hist} -> {bit}")
-        lines.append("  output: " + "; ".join(cells))
+        for j, table in enumerate(rules.steps):
+            lines.append(f"  box {j + 1} input: " + _table_text(table, "seen", j))
+        lines.append("  output: " + _table_text(rules.output, "outs", w.m))
     return "\n".join(lines) + "\n"

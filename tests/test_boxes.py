@@ -20,7 +20,7 @@ from nsboxes.boxes import (
     xor_star,
 )
 from nsboxes.commcost import verify_plan_end_to_end
-from nsboxes.distill import iterate, t_map
+from nsboxes.distill import iterate, steps_to_reach, t_map
 
 
 WEIGHTS = [F(0), F(1, 3), F(1, 2), F(1)]
@@ -341,6 +341,8 @@ def test_box_table_rejects_float_probabilities():
         lambda: xor_star([f], 0.5),
         lambda: t_map(2, 0.5),
         lambda: iterate(2, 0.5, 1),
+        lambda: steps_to_reach(2, 0.1, 0.5),
+        lambda: steps_to_reach(2, F(1, 10), 0.5),
         lambda: verify_plan_end_to_end(f, 0.5, 1),
     ):
         with pytest.raises(TypeError, match="float weight"):

@@ -249,6 +249,16 @@ class TestWiringEval:
         code, _, _ = run(capsys, "wiring", "eval", "--name", "bs", str(path))
         assert code == 2
 
+    def test_bs_needs_two_parties(self, tmp_path, capsys):
+        path = tmp_path / "b.box"
+        save_box(make_correlated(1, F(1, 2)), path)
+        code, out, err = run(
+            capsys, "wiring", "eval", "--name", "bs", str(path), str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: the boosting map needs at least two parties\n"
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

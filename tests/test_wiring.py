@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsboxes.boxes import (
+    BoxTable,
+    bit_tuples,
     make_correlated,
     make_even_parity,
     make_npr,
@@ -11,7 +13,12 @@ from nsboxes.boxes import (
     is_non_signaling,
     xor_boxes,
 )
-from nsboxes.distill import t_map
+from nsboxes.distill import (
+    derivative_at_fixed_points,
+    iterate,
+    steps_to_reach,
+    t_map,
+)
 from nsboxes.wiring import (
     Wiring,
     bs_wiring,
@@ -50,8 +57,21 @@ def test_boosting_two_weak_copies_matches_scalar_map():
 
 
 def test_bs_wiring_minimum_parties():
-    with pytest.raises(ValueError):
-        bs_wiring(1)
+    # the wiring and the scalar boosting map share one floor and one message
+    half = F(1, 2)
+    calls = (
+        lambda: bs_wiring(1),
+        lambda: t_map(1, half),
+        lambda: iterate(1, half, 0),
+        lambda: steps_to_reach(1, half, half),
+        lambda: derivative_at_fixed_points(1),
+    )
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError, match="at least two parties") as info:
+            call()
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 def test_xor_wiring_degenerates_to_xor_boxes():
@@ -158,6 +178,47 @@ def test_wiring_text_is_deterministic_and_complete():
     text1 = wiring_to_text(bs_wiring(2), name="bs")
     text2 = wiring_to_text(bs_wiring(2), name="bs")
     assert text1 == text2
-    assert text1.startswith("wiring bs n=2 boxes=2")
-    assert "party 1:" in text1 and "party 2:" in text1
-    assert "output:" in text1
+    party = (
+        "  box 1 input: x=0 r=0 seen=- -> 0; x=1 r=0 seen=- -> 1\n"
+        "  box 2 input: x=0 r=0 seen=0 -> 0; x=0 r=0 seen=1 -> 0; "
+        "x=1 r=0 seen=0 -> 1; x=1 r=0 seen=1 -> 0\n"
+        "  output: x=0 r=0 outs=00 -> 0; x=0 r=0 outs=10 -> 1; "
+        "x=0 r=0 outs=01 -> 1; x=0 r=0 outs=11 -> 0; "
+        "x=1 r=0 outs=00 -> 0; x=1 r=0 outs=10 -> 1; "
+        "x=1 r=0 outs=01 -> 1; x=1 r=0 outs=11 -> 0\n"
+    )
+    expected = (
+        "wiring bs n=2 boxes=2 randomness=1\n"
+        "r=0 weight=1\n"
+        "party 1:\n" + party + "party 2:\n" + party
+    )
+    assert text1 == expected
+    assert wiring_to_text(bs_wiring(2)) == expected.replace("wiring bs ", "wiring ")
+
+
+def test_three_box_wiring_reads_the_second_output():
+    # box 1 (even parity) outputs a shared random bit s to both parties,
+    # box 2 copies each party's input, and box 3 (PR) is fed box 2's output
+    # while the final bit is box 3's output.  Box 3 therefore sees the real
+    # inputs and the result is the PR table.  Reading box 1's output
+    # instead (a swapped slot order) would feed (s, s) and give white noise.
+    n = 2
+    copy = BoxTable(n, {(x, x): F(1) for x in bit_tuples(n)})
+
+    def input_rule(i, j, x_i, r, history):
+        return x_i if j < 2 else history[1]
+
+    def output_rule(i, x_i, r, outs):
+        return outs[2]
+
+    w = make_wiring(n, 3, input_rule, output_rule)
+    for rules in w.parties:
+        for x_i in (0, 1):
+            # slot h holds box t + 1's output at bit t
+            assert rules.steps[2][x_i][0] == tuple((h >> 1) & 1 for h in range(4))
+            assert rules.output[x_i][0] == tuple((h >> 2) & 1 for h in range(8))
+    result = evaluate_wiring([make_even_parity(n), copy, make_npr(n)], w)
+    for x in bit_tuples(n):
+        for c in bit_tuples(n):
+            expected = F(1, 2) if c[0] ^ c[1] == x[0] & x[1] else F(0)
+            assert result.prob(x, c) == expected
