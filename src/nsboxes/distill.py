@@ -26,12 +26,25 @@ class UnreachableTargetError(ValueError):
     """Raised for targets the iteration can approach but never attain."""
 
 
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for coprime num and den > 0, skipping the gcd."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value
+
+
 def t_map(n: int, eps: Fraction) -> Fraction:
     """One boosting round: eps -> eps / 2^(n-1) * (2^(n-1) + 1 - eps)."""
     check_boosting_party_count(n)
     eps = check_weight(eps)
-    half = Fraction(1, 2 ** (n - 1))
-    return eps * half * (2 ** (n - 1) + 1 - eps)
+    p, q = eps.numerator, eps.denominator
+    if p == 0:
+        return Fraction(0)
+    # p/q in lowest terms maps to p((Q+1)q - p) / (Q q^2) with Q = 2^(n-1); a
+    # prime dividing q and (Q+1)q - p divides p, so only powers of 2 cancel.
+    num, den = p * ((q << (n - 1)) + q - p), (q * q) << (n - 1)
+    shift = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
+    return _coprime_fraction(num >> shift, den >> shift)
 
 
 def derivative_at_fixed_points(n: int) -> tuple[Fraction, Fraction]:
@@ -75,11 +88,38 @@ def iterate(n: int, eps0: Fraction, steps: int) -> Trajectory:
     return Trajectory(n=n, eps_sequence=tuple(seq), copies_used=2 ** steps)
 
 
+def _bracket_steps(
+    n: int, eps: Fraction, target: Fraction, bits: int
+) -> tuple[bool, int]:
+    """(decided, s) at the first s >= 1 where eps_s's bracket reaches target.
+
+    t_map is increasing on [0, 1], so lo <= eps_s * 2^bits <= hi survives
+    rounding outward.  decided (lo >= target, every earlier hi below it)
+    certifies s; otherwise the bracket straddles target.  Needs eps < target.
+    """
+    shift, top = bits + n - 1, ((1 << (n - 1)) + 1) << bits
+    lo = (eps.numerator << bits) // eps.denominator
+    hi = -(-(eps.numerator << bits) // eps.denominator)
+    goal = target.numerator << bits
+    s = 0
+    while True:
+        s += 1
+        lo = lo * (top - lo) >> shift
+        hi = -(-hi * (top - hi) >> shift)
+        if lo * target.denominator >= goal:
+            return True, s
+        if hi * target.denominator >= goal:
+            return False, s
+
+
 def steps_to_reach(n: int, eps0: Fraction, target: Fraction) -> int:
     """Smallest m with eps_m >= target.
 
     Requires 0 < eps0 < 1 and eps0 <= target < 1; a target of exactly 1 is
-    approached but never attained and raises UnreachableTargetError.
+    approached but never attained and raises UnreachableTargetError.  The
+    answer comes from certified dyadic brackets on eps_m, whose precision
+    doubles while they straddle target, and from the exact recurrence where
+    brackets cannot decide (say, when target is some eps_m exactly).
     """
     check_boosting_party_count(n)
     if not 0 < eps0 < 1:
@@ -92,10 +132,17 @@ def steps_to_reach(n: int, eps0: Fraction, target: Fraction) -> int:
         raise ValueError("target must be at least eps0")
     eps = check_weight(eps0)
     target = check_weight(target)
-    m = 0
+    m, bits = 0, 64
     while eps < target:
-        eps = t_map(n, eps)
-        m += 1
+        reached, s = _bracket_steps(n, eps, target, bits)
+        if reached:
+            return m + s
+        # eps_(m+s)'s denominator has under (its bits now + n) << s bits; a
+        # finer bracket than that costs more than computing it exactly.
+        if bits < (eps.denominator.bit_length() + n) << s:
+            bits *= 2
+        else:
+            eps, m = iterate(n, eps, s).final, m + s
     return m
 
 

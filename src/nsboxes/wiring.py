@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .boxes import ONE, ZERO, BoxTable, bit_tuples, check_boosting_party_count
+from .boxes import (
+    ONE,
+    ZERO,
+    BoxTable,
+    _exact,
+    bit_tuples,
+    check_boosting_party_count,
+)
 
 # A party's history is one int slot h: bit t of h holds box t+1's output.
 # step table:  table[x_i][r][h] -> input bit, h encoding prior outputs
@@ -43,6 +50,8 @@ class Wiring:
             raise ValueError("a wiring needs at least one box")
         if len(self.parties) != self.n:
             raise ValueError("one rule set per party required")
+        for w in self.randomness:
+            _exact(w, "weight")
         if not self.randomness or sum(self.randomness) != 1 or any(
             w < 0 for w in self.randomness
         ):
@@ -96,7 +105,7 @@ def make_wiring(n: int, m: int, input_rule, output_rule, randomness=None) -> Wir
     """
     if randomness is None:
         randomness = (ONE,)
-    randomness = tuple(Fraction(w) for w in randomness)
+    randomness = tuple(_exact(w, "weight") for w in randomness)
     n_r = len(randomness)
     parties = tuple(
         PartyRules(

@@ -21,6 +21,7 @@ from nsboxes.boxes import (
 )
 from nsboxes.commcost import verify_plan_end_to_end
 from nsboxes.distill import iterate, steps_to_reach, t_map
+from nsboxes.wiring import Wiring, bs_wiring, make_wiring
 
 
 WEIGHTS = [F(0), F(1, 3), F(1, 2), F(1)]
@@ -325,6 +326,10 @@ def test_box_table_is_immutable_and_hashable():
     }
 
 
+def _zero_rule(*_):
+    return 0
+
+
 def test_box_table_rejects_float_probabilities():
     entries = {
         (x, a): 0.5
@@ -344,6 +349,9 @@ def test_box_table_rejects_float_probabilities():
         lambda: steps_to_reach(2, 0.1, 0.5),
         lambda: steps_to_reach(2, F(1, 10), 0.5),
         lambda: verify_plan_end_to_end(f, 0.5, 1),
+        lambda: make_wiring(1, 1, _zero_rule, _zero_rule, (0.5, 0.5)),
+        lambda: make_wiring(1, 1, _zero_rule, _zero_rule, (0.1, 0.9)),
+        lambda: Wiring(2, 2, (0.5, 0.5), bs_wiring(2).parties),
     ):
         with pytest.raises(TypeError, match="float weight"):
             call()

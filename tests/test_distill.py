@@ -1,3 +1,6 @@
+import math
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -51,6 +54,34 @@ class TestMap:
                 derivative_at_fixed_points(bad_n)
             with pytest.raises(ValueError, match="at least two parties"):
                 iterate(bad_n, F(1, 2), 0)
+
+
+class TestIntegerRecurrence:
+    """t_map's lowest-terms integer recurrence against Fraction arithmetic."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_textbook_map(self, n):
+        rng = random.Random(n)
+        eps_values = [F(0), F(1), F(1, 2), F(2, 3), F(3, 4), F(4, 7), F(6, 13)]
+        for _ in range(40):
+            den = rng.randint(1, 2 ** rng.randint(1, 80))
+            eps_values.append(F(rng.randint(0, den), den))
+        for eps in eps_values:
+            expected = eps * F(1, 2 ** (n - 1)) * (2 ** (n - 1) + 1 - eps)
+            got = t_map(n, eps)
+            assert type(got) is F
+            assert (got.numerator, got.denominator) == (
+                expected.numerator, expected.denominator,
+            )
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_iterates_are_lowest_terms_fractions(self, n):
+        for eps0 in (F(1, 2), F(2, 3), F(6, 13)):
+            for x in iterate(n, eps0, 12).eps_sequence:
+                num, den = x.numerator, x.denominator
+                assert type(x) is F
+                assert math.gcd(num, den) == 1
+                assert x == F(num, den) and hash(x) == hash(F(num, den))
 
 
 class TestDerivatives:
@@ -118,6 +149,39 @@ class TestStepsToReach:
     def test_exact_target_one_unreachable(self):
         with pytest.raises(UnreachableTargetError):
             steps_to_reach(2, F(1, 2), F(1))
+
+    def test_brackets_agree_with_exact_iteration(self):
+        def exact_steps(n, eps, target):
+            m = 0
+            while eps < target:
+                eps, m = t_map(n, eps), m + 1
+            return m
+
+        rng = random.Random(2009)
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            eps0 = F(rng.randint(1, 40), rng.randint(41, 97))
+            m = rng.randint(1, 9)
+            seq = iterate(n, eps0, m).eps_sequence
+            targets = {
+                "eps_m": (seq[m], m),
+                "above eps_(m-1)": (
+                    seq[m - 1] + (seq[m] - seq[m - 1]) / 10 ** rng.randint(1, 30), m
+                ),
+                "eps0": (eps0, 0),
+            }
+            for name, (target, expected) in targets.items():
+                got = steps_to_reach(n, eps0, target)
+                assert got == expected == exact_steps(n, eps0, target), name
+
+    @pytest.mark.parametrize(
+        "n, eps0, target, expected",
+        [(2, F(1, 100), 1 - F(1, 10 ** 6), 32), (4, F(1, 5), F(95, 100), 35)],
+    )
+    def test_long_searches_finish(self, n, eps0, target, expected):
+        start = time.perf_counter()
+        assert steps_to_reach(n, eps0, target) == expected
+        assert time.perf_counter() - start < 0.5
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
