@@ -64,6 +64,8 @@ def _exact(value, what: str) -> Fraction:
     A float's binary expansion (0.1 is 3602879701896397/2^55) is almost
     never the number meant.
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError(f"float {what}: {value!r}; pass an exact Fraction")
     return Fraction(value)

@@ -11,12 +11,14 @@ against every strategy column.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 
 from . import lp
-from .boxes import ONE, ZERO, BoxTable, Bits, bit_tuples, check_exhaustive_party_count
+from .boxes import ONE, ZERO, BoxTable, Bits, _exact, bit_tuples, check_exhaustive_party_count
 
 NORM = ("norm",)
 
@@ -31,7 +33,7 @@ def strategies(n: int) -> list[Strategy]:
 
 
 def strategy_output(s: Strategy, x: Bits) -> Bits:
-    return tuple(s[i][x[i]] for i in range(len(x)))
+    return tuple(map(getitem, s, x))
 
 
 def strategy_keys(s: Strategy) -> Iterator[tuple[Bits, Bits]]:
@@ -39,12 +41,18 @@ def strategy_keys(s: Strategy) -> Iterator[tuple[Bits, Bits]]:
     return ((x, strategy_output(s, x)) for x in bit_tuples(len(s)))
 
 
-def _score(row_duals: dict, s: Strategy) -> Fraction:
-    """y . column(s): the normalization dual plus the duals s produces."""
-    dot = row_duals.get(NORM, ZERO)
+def _integer_duals(row_duals: dict) -> tuple[dict, int]:
+    """The duals as integer numerators over their common denominator."""
+    exact = {key: _exact(y, "certificate dual") for key, y in row_duals.items()}
+    den = math.lcm(*(y.denominator for y in exact.values()))
+    return {key: y.numerator * (den // y.denominator) for key, y in exact.items()}, den
+
+
+def _score(numerators: dict, s: Strategy) -> int:
+    """y . column(s) over the duals' common denominator (see _integer_duals)."""
+    dot = numerators.get(NORM, 0)
     for key in strategy_keys(s):
-        if key in row_duals:
-            dot += row_duals[key]
+        dot += numerators.get(key, 0)
     return dot
 
 
@@ -92,10 +100,13 @@ class NonlocalityCertificate:
     def verify(self, box: BoxTable) -> bool:
         dot_b = ZERO
         for key, y in self.row_duals.items():
+            if key != NORM and len(key[0]) != box.n:
+                raise ValueError(f"certificate is for {len(key[0])} parties, box has {box.n}")
             dot_b += y if key == NORM else y * box.entries[key]
         if dot_b <= 0:
             return False
-        return all(_score(self.row_duals, s) <= 0 for s in strategies(box.n))
+        numerators, _ = _integer_duals(self.row_duals)
+        return all(_score(numerators, s) <= 0 for s in strategies(box.n))
 
 
 @dataclass(frozen=True)
@@ -145,8 +156,9 @@ def decide_locality(box: BoxTable) -> LocalityResult:
     # its first zero entry that outweighs the largest score among them.
     duals = {key: y for key, y in zip(row_keys, result.certificate) if y != 0}
     duals[NORM] = result.certificate[-1]
-    worst = max((_score(duals, s) for s in eliminated), default=ZERO)
-    penalty = max(ZERO, worst) + ONE
+    numerators, den = _integer_duals(duals)
+    worst = max((_score(numerators, s) for s in eliminated), default=0)
+    penalty = Fraction(max(0, worst), den) + ONE
     for s in eliminated:
         first_zero = next(key for key in strategy_keys(s) if key in zero_set)
         duals[first_zero] = -penalty

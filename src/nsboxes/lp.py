@@ -1,18 +1,27 @@
 """Exact rational feasibility solver for systems A w = b, w >= 0.
 
-Phase-1 simplex over `fractions.Fraction` with Bland's anti-cycling rule:
-minimize the sum of artificial variables starting from the all-artificial
-basis.  A zero optimum yields a feasible point; a positive optimum yields a
-Farkas certificate y with y.b > 0 and y.A_j <= 0 for every column j.
+Phase-1 simplex with Bland's anti-cycling rule: minimize the sum of
+artificial variables starting from the all-artificial basis.  A zero optimum
+yields a feasible point; a positive optimum yields a Farkas certificate y
+with y.b > 0 and y.A_j <= 0 for every column j.
+
+The tableau holds integers.  Each column is scaled by the LCM of its
+denominators and b by the LCM of its own; that rescales the variables by
+positive factors, which leaves Bland's entering column and the ratio test's
+leaving row unchanged.  Pivoting is fraction-free (Edmonds, J. Res. NBS 71B
+(1967); Bareiss, Math. Comp. 22 (1968)): every stored entry is the running
+determinant `det`, the last pivot, times the rational entry, and each update
+divides exactly by the previous `det`.  Fractions are built only for the
+returned solution or certificate.  Floats are refused with `TypeError`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .boxes import ZERO, _exact
 
 
 @dataclass(frozen=True)
@@ -20,6 +29,19 @@ class FeasibilityResult:
     feasible: bool
     solution: list | None = None      # weight per column when feasible
     certificate: list | None = None   # y per row (original orientation) otherwise
+    pivots: int = 0                   # simplex pivots taken
+
+
+def _check_length(values, expected: int, what: str) -> None:
+    if len(values) != expected:
+        raise ValueError(f"{what} length mismatch: {len(values)} entries, expected {expected}")
+
+
+def _integers(values) -> tuple[list[int], int]:
+    """values as integer numerators over the LCM of their denominators."""
+    exact = [_exact(v, "LP coefficient") for v in values]
+    scale = math.lcm(*(f.denominator for f in exact))
+    return [f.numerator * (scale // f.denominator) for f in exact], scale
 
 
 def solve_equality_feasibility(columns: list[list[Fraction]], b: list[Fraction]) -> FeasibilityResult:
@@ -31,86 +53,84 @@ def solve_equality_feasibility(columns: list[list[Fraction]], b: list[Fraction])
     m = len(b)
     n = len(columns)
     for col in columns:
-        if len(col) != m:
-            raise ValueError("column length mismatch")
+        _check_length(col, m, "column")
+    scaled = [_integers(col) for col in columns]
+    rhs, b_scale = _integers(b)
 
     # Orient rows so the right-hand side is nonnegative.
-    signs = [ONE if b[i] >= 0 else -ONE for i in range(m)]
-    rhs = [signs[i] * Fraction(b[i]) for i in range(m)]
+    signs = [1 if v >= 0 else -1 for v in rhs]
+    rhs = [s * v for s, v in zip(signs, rhs)]
     # Tableau over original columns followed by the m artificial columns.
     tab = [
-        [signs[i] * Fraction(columns[j][i]) for j in range(n)]
-        + [ONE if k == i else ZERO for k in range(m)]
+        [signs[i] * col[i] for col, _ in scaled] + [int(k == i) for k in range(m)]
         for i in range(m)
     ]
     basis = [n + i for i in range(m)]
-
     # Reduced objective row for minimizing the artificial sum: the entry for
-    # column j is z_j - c_j with c = (0,...,0, 1,...,1).
-    obj = [ZERO] * (n + m)
-    for j in range(n + m):
-        s = ZERO
-        for i in range(m):
-            s += tab[i][j]
-        obj[j] = s - (ZERO if j < n else ONE)
+    # column j is z_j - c_j with c = (0,...,0, 1,...,1), so 1 - 1 on the
+    # artificial columns.
+    obj = [sum(s * v for s, v in zip(signs, col)) for col, _ in scaled] + [0] * m
 
+    det = 1
+    pivots = 0
     while True:
-        enter = -1
-        for j in range(n + m):
-            if obj[j] > 0:
-                enter = j
-                break
+        enter = next((j for j, v in enumerate(obj) if v > 0), -1)
         if enter < 0:
             break
+        # Smallest ratio rhs[i] / tab[i][enter], compared by cross-multiplying
+        # the positive denominators; ties go to the smaller basis index.
         leave = -1
-        best = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = rhs[i] / tab[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
+            t = tab[i][enter]
+            if t > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                d = rhs[i] * tab[leave][enter] - rhs[leave] * t
+                if d < 0 or (d == 0 and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             # The phase-1 objective is bounded below by zero, so an
             # unbounded direction cannot occur; guard anyway.
             raise RuntimeError("phase-1 simplex reported unbounded")
-        pivot = tab[leave][enter]
-        inv = ONE / pivot
-        tab[leave] = [v * inv for v in tab[leave]]
-        rhs[leave] *= inv
+        row_l = tab[leave]
+        pivot = row_l[enter]
+        rhs_l = rhs[leave]
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                factor = tab[i][enter]
-                row_l = tab[leave]
-                row_i = tab[i]
-                tab[i] = [vi - factor * vl for vi, vl in zip(row_i, row_l)]
-                rhs[i] -= factor * rhs[leave]
+            factor = tab[i][enter]
+            # A row with no entry in the pivot column is rescaled by
+            # pivot / det, which need not be an integer: it takes the general
+            # update unless pivot == det leaves it as it is.
+            if i == leave or (factor == 0 and pivot == det):
+                continue
+            tab[i] = [(pivot * v - factor * w) // det for v, w in zip(tab[i], row_l)]
+            rhs[i] = (pivot * rhs[i] - factor * rhs_l) // det
         factor = obj[enter]
-        obj = [vo - factor * vl for vo, vl in zip(obj, tab[leave])]
+        obj = [(pivot * v - factor * w) // det for v, w in zip(obj, row_l)]
+        det = pivot
         basis[leave] = enter
+        pivots += 1
 
-    optimum = ZERO
-    for i in range(m):
-        if basis[i] >= n:
-            optimum += rhs[i]
-
-    if optimum == 0:
+    # The optimum is the artificial basics' sum of nonnegative values.
+    if all(rhs[i] == 0 for i in range(m) if basis[i] >= n):
         solution = [ZERO] * n
         for i in range(m):
-            if basis[i] < n:
-                solution[basis[i]] = rhs[i]
-        return FeasibilityResult(feasible=True, solution=solution)
+            j = basis[i]
+            if j < n:
+                solution[j] = Fraction(rhs[i] * scaled[j][1], det * b_scale)
+        return FeasibilityResult(feasible=True, solution=solution, pivots=pivots)
 
     # Farkas certificate: the dual y = c_B B^[-1] read off the artificial
     # columns, mapped back to the original row orientation.
-    y = [signs[i] * (obj[n + i] + ONE) for i in range(m)]
-    return FeasibilityResult(feasible=False, certificate=y)
+    y = [signs[i] * (Fraction(obj[n + i], det) + 1) for i in range(m)]
+    return FeasibilityResult(feasible=False, certificate=y, pivots=pivots)
 
 
 def verify_feasible(columns, b, solution) -> bool:
     """Exact check that solution >= 0 and A @ solution == b."""
+    for col in columns:
+        _check_length(col, len(b), "column")
+    _check_length(solution, len(columns), "solution")
     if any(w < 0 for w in solution):
         return False
     m = len(b)
@@ -126,6 +146,9 @@ def verify_feasible(columns, b, solution) -> bool:
 
 def verify_certificate(columns, b, y) -> bool:
     """Exact check that y.b > 0 while y.A_j <= 0 for every column."""
+    for col in columns:
+        _check_length(col, len(b), "column")
+    _check_length(y, len(b), "certificate")
     dot_b = sum((y[i] * b[i] for i in range(len(b))), ZERO)
     if dot_b <= 0:
         return False

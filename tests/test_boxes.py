@@ -21,6 +21,8 @@ from nsboxes.boxes import (
 )
 from nsboxes.commcost import verify_plan_end_to_end
 from nsboxes.distill import iterate, steps_to_reach, t_map
+from nsboxes.locality import NORM, NonlocalityCertificate
+from nsboxes.lp import solve_equality_feasibility
 from nsboxes.wiring import Wiring, bs_wiring, make_wiring
 
 
@@ -355,6 +357,14 @@ def test_box_table_rejects_float_probabilities():
     ):
         with pytest.raises(TypeError, match="float weight"):
             call()
+    for call in (
+        lambda: solve_equality_feasibility([[1]], [0.1]),
+        lambda: solve_equality_feasibility([[F(1), 0.5]], [1, 1]),
+    ):
+        with pytest.raises(TypeError, match="float LP coefficient"):
+            call()
+    with pytest.raises(TypeError, match="float certificate dual"):
+        NonlocalityCertificate({NORM: 0.5}).verify(make_npr(2))
 
 
 def test_box_table_rejects_bad_distributions():

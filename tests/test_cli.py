@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nsboxes.boxes import MAX_EXHAUSTIVE_PARTIES, make_correlated, make_npr
+from nsboxes.boxes import MAX_EXHAUSTIVE_PARTIES, make_correlated, make_even_parity, make_npr
 from nsboxes.boxfile import box_to_text, load_box, save_box
 from nsboxes.cli import main
 from nsboxes.distill import t_map
@@ -38,6 +38,25 @@ class TestBoxBuild:
         assert code == 0
         assert "local: yes" in out
         assert "weight" in out
+
+    @pytest.mark.parametrize("box, expected", [
+        (make_even_parity(3), (
+            "non-signaling: yes\n"
+            "local: yes (4 deterministic strategies)\n"
+            "  weight 1/4 on responses 00,00,00\n"
+            "  weight 1/4 on responses 00,11,11\n"
+            "  weight 1/4 on responses 11,00,11\n"
+            "  weight 1/4 on responses 11,11,00\n"
+        )),
+        (make_npr(3), (
+            "non-signaling: yes\n"
+            "local: no (separating certificate verified)\n"
+        )),
+    ], ids=["even-3", "npr-3"])
+    def test_check_output_is_pinned(self, tmp_path, capsys, box, expected):
+        path = tmp_path / "box.box"
+        save_box(box, path)
+        assert run(capsys, "box", "check", str(path)) == (0, expected, "")
 
     def test_build_correlated_and_fc(self, tmp_path, capsys):
         path = tmp_path / "c.box"

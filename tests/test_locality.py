@@ -105,6 +105,12 @@ def test_size_limit():
         decide_locality(make_even_parity(limit + 1))
 
 
+def test_certificate_checked_against_another_party_count():
+    certificate = decide_locality(make_npr(2)).certificate
+    with pytest.raises(ValueError, match="certificate is for 2 parties, box has 3"):
+        certificate.verify(make_npr(3))
+
+
 def test_results_are_frozen():
     local = decide_locality(make_even_parity(2))
     nonlocal_ = decide_locality(make_npr(2))

@@ -1,12 +1,63 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from nsboxes import locality, lp
+from nsboxes.boolfn import anf
+from nsboxes.boxes import (
+    make_correlated,
+    make_even_parity,
+    make_full_correlation,
+    make_npr,
+    mix,
+)
 from nsboxes.lp import (
+    FeasibilityResult,
     solve_equality_feasibility,
     verify_certificate,
     verify_feasible,
 )
+
+
+def fraction_bland(columns, b):
+    """Reference solver: the phase-1 Bland simplex on a Fraction tableau."""
+    m, n = len(b), len(columns)
+    signs = [1 if v >= 0 else -1 for v in b]
+    rhs = [s * F(v) for s, v in zip(signs, b)]
+    tab = [[signs[i] * F(col[i]) for col in columns] + [F(k == i) for k in range(m)]
+           for i in range(m)]
+    basis = list(range(n, n + m))
+    obj = [sum((row[j] for row in tab), F(0)) - (j >= n) for j in range(n + m)]
+    pivots = 0
+    while any(v > 0 for v in obj):
+        enter = next(j for j, v in enumerate(obj) if v > 0)
+        leave = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                key = (rhs[i] / tab[i][enter], basis[i])
+                if leave is None or key < best:
+                    leave, best = i, key
+        inv = 1 / tab[leave][enter]
+        tab[leave] = [v * inv for v in tab[leave]]
+        rhs[leave] *= inv
+        for i in range(m):
+            f = tab[i][enter]
+            if i != leave and f != 0:
+                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
+                rhs[i] -= f * rhs[leave]
+        f = obj[enter]
+        obj = [v - f * w for v, w in zip(obj, tab[leave])]
+        basis[leave] = enter
+        pivots += 1
+    if all(rhs[i] == 0 for i in range(m) if basis[i] >= n):
+        solution = [F(0)] * n
+        for i, j in enumerate(basis):
+            if j < n:
+                solution[j] = rhs[i]
+        return FeasibilityResult(True, solution=solution, pivots=pivots)
+    y = [s * (obj[n + i] + 1) for i, s in enumerate(signs)]
+    return FeasibilityResult(False, certificate=y, pivots=pivots)
 
 
 def cols(*columns):
@@ -81,3 +132,112 @@ def test_exactness_with_awkward_fractions():
     res = solve_equality_feasibility(columns, target)
     assert res.feasible
     assert verify_feasible(columns, target, res.solution)
+
+
+def test_verifiers_reject_length_mismatch():
+    columns = cols([1, 0], [0, 1])
+    b = [F(1), F(0)]
+    with pytest.raises(ValueError, match="solution length mismatch"):
+        verify_feasible(columns, b, [F(1)])
+    with pytest.raises(ValueError, match="certificate length mismatch"):
+        verify_certificate(columns, b, [F(1)])
+    with pytest.raises(ValueError, match="column length mismatch"):
+        verify_certificate(cols([1, 0, 0]), b, [F(1), F(1)])
+
+
+def random_system(rng):
+    """A signed rational system with zero columns and duplicate rows; b is
+    a nonnegative combination of the columns half the time."""
+    m, n = rng.randint(1, 7), rng.randint(0, 9)
+    entry = lambda: F(rng.randint(-4, 4), rng.randint(1, 6))
+    columns = [[entry() if rng.random() < 0.7 else F(0) for _ in range(m)]
+               for _ in range(n)]
+    for col in columns:
+        if rng.random() < 0.15:
+            col[:] = [F(0)] * m
+    if m > 1 and rng.random() < 0.3:
+        i, k = rng.sample(range(m), 2)
+        for col in columns:
+            col[k] = col[i]
+    if n and rng.random() < 0.5:
+        w = [F(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(n)]
+        b = [sum((c[i] * wj for c, wj in zip(columns, w)), F(0)) for i in range(m)]
+    else:
+        b = [entry() for _ in range(m)]
+    return columns, b
+
+
+def test_integer_tableau_matches_fraction_reference():
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(400):
+        columns, b = random_system(rng)
+        res = solve_equality_feasibility(columns, b)
+        assert res == fraction_bland(columns, b)
+        if res.feasible:
+            assert verify_feasible(columns, b, res.solution)
+        else:
+            assert verify_certificate(columns, b, res.certificate)
+        outcomes.add((res.feasible, res.pivots > 0))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def reference_extension(box, reduced):
+    """The certificate extension over eliminated strategies, in Fractions."""
+    zero = {key for key, v in box.entries.items() if v == 0}
+    rows = [key for key, v in box.entries.items() if v != 0]
+    duals = {key: y for key, y in zip(rows, reduced) if y != 0}
+    duals[locality.NORM] = reduced[-1]
+    eliminated = [s for s in locality.strategies(box.n)
+                  if any(k in zero for k in locality.strategy_keys(s))]
+    score = lambda s: duals[locality.NORM] + sum(
+        (duals.get(k, 0) for k in locality.strategy_keys(s)), F(0))
+    penalty = max([F(0)] + [score(s) for s in eliminated]) + 1
+    for s in eliminated:
+        duals[next(k for k in locality.strategy_keys(s) if k in zero)] = -penalty
+    return duals
+
+
+def seeded_boxes(rng):
+    for n in (2, 3, 4):
+        yield make_correlated(n, F(rng.randint(1, 16), 16))
+        functions = [anf(n, [{i + 1 for i in range(n) if mask >> i & 1}
+                             for mask in range(2 ** n) if rng.random() < 0.4])
+                     for _ in range(2)]
+        eps = F(rng.randint(1, 7), 8)
+        yield mix([make_full_correlation(f) for f in functions] + [make_even_parity(n)],
+                  [eps / 2, eps / 2, 1 - eps])
+        strats = [rng.choice(locality.strategies(n)) for _ in range(3)]
+        w = F(rng.randint(1, 7), 8)
+        yield mix([make_npr(n)] + [locality.deterministic_box(n, s) for s in strats],
+                  [w] + [(1 - w) / 3] * 3)
+
+
+def test_locality_systems_match_fraction_reference(monkeypatch):
+    solve = lp.solve_equality_feasibility
+    seen = []
+
+    def checked(columns, b):
+        res = solve(columns, b)
+        assert res == fraction_bland(columns, b)
+        seen.append(res)
+        return res
+
+    monkeypatch.setattr(lp, "solve_equality_feasibility", checked)
+    rng = random.Random(5)
+    # PR plus one deterministic strategy: its duals are halves, so the
+    # extension scores over a common denominator of 2.
+    boxes = [mix([make_npr(3), locality.deterministic_box(3, ((1, 1),) * 3)],
+                 [F(5, 6), F(1, 6)])]
+    for _ in range(2):
+        boxes += seeded_boxes(rng)
+    for box in boxes:
+        result = locality.decide_locality(box)
+        res = seen[-1]
+        if res.feasible:
+            assert result.model.to_box() == box
+        else:
+            assert result.certificate.row_duals == reference_extension(box, res.certificate)
+            assert result.certificate.verify(box)
+    assert {res.feasible for res in seen} == {True, False}
+    assert any(y.denominator > 1 for res in seen if not res.feasible for y in res.certificate)
