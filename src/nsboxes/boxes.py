@@ -79,6 +79,13 @@ def check_weight(eps) -> Fraction:
     return eps
 
 
+def check_positive_weight(eps) -> Fraction:
+    """check_weight for eps in (0, 1]; an out-of-range float raises ValueError."""
+    if not 0 < eps <= 1:
+        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    return check_weight(eps)
+
+
 @dataclass(frozen=True)
 class BoxTable:
     """Dense table P(a | x) over n binary-input, binary-output parties.

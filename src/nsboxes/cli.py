@@ -15,6 +15,7 @@ from . import boxfile, commcost, distill
 from .boolfn import ExprSyntaxError, anf_from_truth_table, parse_expr
 from .boxes import (
     MAX_EXHAUSTIVE_PARTIES,
+    check_positive_weight,
     make_correlated,
     make_even_parity,
     make_full_correlation,
@@ -129,9 +130,7 @@ def _cmd_box_check(args, parser) -> int:
 
 
 def _cmd_distill(args, parser) -> int:
-    eps = _parse_fraction(args.eps)
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    eps = check_positive_weight(_parse_fraction(args.eps))
     trajectory = distill.iterate(args.n, eps, args.steps)
     _write_output(distill.trajectory_csv(trajectory), args.out)
     if eps == 1:

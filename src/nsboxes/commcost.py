@@ -28,7 +28,7 @@ from .boxes import (
     ZERO,
     bit_tuples,
     check_exhaustive_party_count,
-    check_weight,
+    check_positive_weight,
     make_correlated,
     make_full_correlation,
     mix,
@@ -348,9 +348,7 @@ def verify_plan_end_to_end(
     stage lands exactly on its predicted table and the final table equals
     eps_m * (perfect box) + (1 - eps_m) * (local residue box).
     """
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
-    eps = check_weight(eps)
+    eps = check_positive_weight(eps)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
 
@@ -412,9 +410,12 @@ def report_text(
 
     With both `verify_eps` and `verify_steps` given, the report ends with
     the end-to-end check of the plan; asking for it on a function that is
-    not amplifiable raises NotAmplifiableError.
+    not amplifiable raises NotAmplifiableError.  Giving only one of the two
+    raises ValueError.
     """
-    verify = verify_eps is not None and verify_steps is not None
+    verify = verify_eps is not None
+    if verify != (verify_steps is not None):
+        raise ValueError("the end-to-end check needs both verify_eps and verify_steps")
     verdict = amplifiable(f)
     if verify and not verdict:
         raise NotAmplifiableError(

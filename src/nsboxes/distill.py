@@ -65,7 +65,6 @@ class Trajectory:
 
     n: int
     eps_sequence: tuple[Fraction, ...]
-    copies_used: int
 
     @property
     def final(self) -> Fraction:
@@ -74,6 +73,10 @@ class Trajectory:
     @property
     def steps(self) -> int:
         return len(self.eps_sequence) - 1
+
+    @property
+    def copies_used(self) -> int:
+        return 2 ** self.steps
 
 
 def iterate(n: int, eps0: Fraction, steps: int) -> Trajectory:
@@ -85,7 +88,7 @@ def iterate(n: int, eps0: Fraction, steps: int) -> Trajectory:
     seq = [eps0]
     for _ in range(steps):
         seq.append(t_map(n, seq[-1]))
-    return Trajectory(n=n, eps_sequence=tuple(seq), copies_used=2 ** steps)
+    return Trajectory(n=n, eps_sequence=tuple(seq))
 
 
 def _bracket_steps(

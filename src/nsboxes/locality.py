@@ -6,6 +6,11 @@ strategies that would put weight on a zero-probability entry are eliminated
 up front (their weight is forced to zero), and a phase-1 simplex settles the
 rest.  A non-local verdict carries a Farkas certificate that is checked
 against every strategy column.
+
+The simplex sees only the nonzero rows.  Its certificate y is extended over
+the zero rows without scoring a strategy: none scores above `bound = y_norm +
+sum_x max_a y(x, a)` (zero rows counting as 0), so every zero row gets the dual
+`-(max(0, bound) + 1)`.  Zero rows have b = 0, so y.b stays positive.
 """
 
 from __future__ import annotations
@@ -32,28 +37,9 @@ def strategies(n: int) -> list[Strategy]:
     return list(itertools.product(per_party, repeat=n))
 
 
-def strategy_output(s: Strategy, x: Bits) -> Bits:
-    return tuple(map(getitem, s, x))
-
-
 def strategy_keys(s: Strategy) -> Iterator[tuple[Bits, Bits]]:
     """The entries (x, a) strategy s produces, one per input x in order."""
-    return ((x, strategy_output(s, x)) for x in bit_tuples(len(s)))
-
-
-def _integer_duals(row_duals: dict) -> tuple[dict, int]:
-    """The duals as integer numerators over their common denominator."""
-    exact = {key: _exact(y, "certificate dual") for key, y in row_duals.items()}
-    den = math.lcm(*(y.denominator for y in exact.values()))
-    return {key: y.numerator * (den // y.denominator) for key, y in exact.items()}, den
-
-
-def _score(numerators: dict, s: Strategy) -> int:
-    """y . column(s) over the duals' common denominator (see _integer_duals)."""
-    dot = numerators.get(NORM, 0)
-    for key in strategy_keys(s):
-        dot += numerators.get(key, 0)
-    return dot
+    return ((x, tuple(map(getitem, s, x))) for x in bit_tuples(len(s)))
 
 
 def deterministic_box(n: int, s: Strategy) -> BoxTable:
@@ -98,15 +84,23 @@ class NonlocalityCertificate:
     row_duals: dict
 
     def verify(self, box: BoxTable) -> bool:
-        dot_b = ZERO
-        for key, y in self.row_duals.items():
-            if key != NORM and len(key[0]) != box.n:
-                raise ValueError(f"certificate is for {len(key[0])} parties, box has {box.n}")
-            dot_b += y if key == NORM else y * box.entries[key]
-        if dot_b <= 0:
+        exact = {key: _exact(y, "certificate dual") for key, y in self.row_duals.items()}
+        for key in exact:
+            if key != NORM and key not in box.entries:
+                x = key[0] if isinstance(key, tuple) and key else None
+                if isinstance(x, tuple) and len(x) != box.n:
+                    raise ValueError(f"certificate is for {len(x)} parties, box has {box.n}")
+                raise ValueError(f"certificate row {key!r} is not an entry of the box")
+        if sum((y if key == NORM else y * box.entries[key] for key, y in exact.items()), ZERO) <= 0:
             return False
-        numerators, _ = _integer_duals(self.row_duals)
-        return all(_score(numerators, s) <= 0 for s in strategies(box.n))
+        # Score each strategy in integers over the duals' common denominator.
+        den = math.lcm(*(y.denominator for y in exact.values()))
+        numerators = {key: y.numerator * (den // y.denominator) for key, y in exact.items()}
+        norm = numerators.get(NORM, 0)
+        return all(
+            norm + sum(numerators.get(key, 0) for key in strategy_keys(s)) <= 0
+            for s in strategies(box.n)
+        )
 
 
 @dataclass(frozen=True)
@@ -124,46 +118,36 @@ def decide_locality(box: BoxTable) -> LocalityResult:
     n = box.n
     check_exhaustive_party_count(n, "locality LP")
 
-    zero_set = {key for key, v in box.entries.items() if v == 0}
-
-    # A strategy hitting any zero-probability entry must carry weight zero.
+    # Equations: one per nonzero entry, plus total weight one.  A strategy
+    # hitting a zero entry must carry weight zero, so it gets no column.
+    entries = box.entries
+    row_keys = [key for key, v in entries.items() if v != 0]
+    row = {key: i for i, key in enumerate(row_keys)}
     surviving: list[Strategy] = []
-    eliminated: list[Strategy] = []
-    for s in strategies(n):
-        hits_zero = any(key in zero_set for key in strategy_keys(s))
-        (eliminated if hits_zero else surviving).append(s)
-
-    # Equations: one per nonzero entry, plus total weight one.  Zero rows
-    # are satisfied automatically once the hitting strategies are gone.
-    row_keys = [key for key, v in box.entries.items() if v != 0]
-    b = [box.entries[key] for key in row_keys] + [ONE]
     columns = []
-    for s in surviving:
-        produced = set(strategy_keys(s))
-        col = [ONE if key in produced else ZERO for key in row_keys]
-        col.append(ONE)
-        columns.append(col)
+    for s in strategies(n):
+        hits = [row.get(key) for key in strategy_keys(s)]
+        if None not in hits:
+            col = [ZERO] * len(row_keys) + [ONE]
+            for i in hits:
+                col[i] = ONE
+            surviving.append(s)
+            columns.append(col)
 
-    result = lp.solve_equality_feasibility(columns, b)
+    result = lp.solve_equality_feasibility(columns, [entries[key] for key in row_keys] + [ONE])
     if result.feasible:
-        weights = {
-            s: w for s, w in zip(surviving, result.solution) if w != 0
-        }
+        weights = {s: w for s, w in zip(surviving, result.solution) if w != 0}
         return LocalityResult(model=LocalModel(weights=weights), certificate=None)
 
-    # Extend the reduced certificate over the dropped zero rows so that it
-    # also separates the eliminated strategies: each one gets a penalty on
-    # its first zero entry that outweighs the largest score among them.
-    duals = {key: y for key, y in zip(row_keys, result.certificate) if y != 0}
-    duals[NORM] = result.certificate[-1]
-    numerators, den = _integer_duals(duals)
-    worst = max((_score(numerators, s) for s in eliminated), default=0)
-    penalty = Fraction(max(0, worst), den) + ONE
-    for s in eliminated:
-        first_zero = next(key for key in strategy_keys(s) if key in zero_set)
-        duals[first_zero] = -penalty
-    certificate = NonlocalityCertificate(row_duals=duals)
-    return LocalityResult(model=None, certificate=certificate)
+    # Extend the certificate over the zero rows (see the module docstring).
+    *y, y_norm = result.certificate
+    duals = {key: v for key, v in zip(row_keys, y) if v != 0}
+    duals[NORM] = y_norm
+    outputs = list(bit_tuples(n))
+    bound = y_norm + sum(max(duals.get((x, a), ZERO) for a in outputs) for x in outputs)
+    penalty = -(max(ZERO, bound) + ONE)
+    duals.update((key, penalty) for key, v in entries.items() if v == 0)
+    return LocalityResult(model=None, certificate=NonlocalityCertificate(row_duals=duals))
 
 
 def is_local(box: BoxTable) -> LocalModel | None:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from nsboxes.boolfn import anf, parse_expr
 from nsboxes.boxes import (
     BoxTable,
     bit_tuples,
+    check_positive_weight,
     is_non_signaling,
     make_correlated,
     make_even_parity,
@@ -365,6 +367,16 @@ def test_box_table_rejects_float_probabilities():
             call()
     with pytest.raises(TypeError, match="float certificate dual"):
         NonlocalityCertificate({NORM: 0.5}).verify(make_npr(2))
+
+
+def test_check_positive_weight_checks_range_then_type():
+    assert check_positive_weight(1) == F(1)
+    assert check_positive_weight(F(1, 3)) == F(1, 3)
+    for eps, shown in ((0, "0"), (F(3, 2), "3/2"), (1.5, "1.5")):
+        with pytest.raises(ValueError, match=re.escape(f"eps must be in (0, 1], got {shown}")):
+            check_positive_weight(eps)
+    with pytest.raises(TypeError, match="float weight"):
+        check_positive_weight(0.5)
 
 
 def test_box_table_rejects_bad_distributions():

@@ -362,5 +362,10 @@ class TestReport:
         ):
             report_text(f, F(1, 2), 1)
 
+    @pytest.mark.parametrize("verify_eps, verify_steps", [(F(1, 2), None), (None, 1)])
+    def test_verification_needs_both_eps_and_steps(self, four_party, verify_eps, verify_steps):
+        with pytest.raises(ValueError, match="needs both verify_eps and verify_steps"):
+            report_text(four_party, verify_eps, verify_steps)
+
     def test_reports_are_deterministic(self, four_party):
         assert report_text(four_party) == report_text(four_party)

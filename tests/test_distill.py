@@ -114,6 +114,11 @@ class TestTrajectory:
         assert tr.copies_used == 8
         assert tr.steps == 3
 
+    def test_copies_used_follows_the_steps(self):
+        assert Trajectory(n=2, eps_sequence=(F(1, 2),)).copies_used == 1
+        with pytest.raises(TypeError):
+            Trajectory(n=2, eps_sequence=(F(1, 2),), copies_used=99)
+
     def test_fixed_point_trajectory_constant(self):
         tr = iterate(2, F(1), 4)
         assert set(tr.eps_sequence) == {F(1)}

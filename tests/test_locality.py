@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
@@ -12,14 +13,16 @@ from nsboxes.boxes import (
     mix,
 )
 from nsboxes.locality import (
+    NORM,
     LocalModel,
+    NonlocalityCertificate,
     decide_locality,
     deterministic_box,
     is_local,
     realism_distribution,
     realism_marginal,
     strategies,
-    strategy_output,
+    strategy_keys,
 )
 
 
@@ -38,8 +41,12 @@ def test_strategy_enumeration():
     assert len(strategies(2)) == 16
     assert len(set(strategies(3))) == 64
     s = ((0, 1), (1, 1))
-    assert strategy_output(s, (0, 0)) == (0, 1)
-    assert strategy_output(s, (1, 0)) == (1, 1)
+    assert list(strategy_keys(s)) == [
+        ((0, 0), (0, 1)),
+        ((0, 1), (0, 1)),
+        ((1, 0), (1, 1)),
+        ((1, 1), (1, 1)),
+    ]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -109,6 +116,10 @@ def test_certificate_checked_against_another_party_count():
     certificate = decide_locality(make_npr(2)).certificate
     with pytest.raises(ValueError, match="certificate is for 2 parties, box has 3"):
         certificate.verify(make_npr(3))
+    for key in [((0, 0), (0,)), ((0, 2), (0, 0))]:
+        malformed = NonlocalityCertificate({NORM: F(1), key: F(-1)})
+        with pytest.raises(ValueError, match=re.escape(f"certificate row {key!r} is not an entry")):
+            malformed.verify(make_npr(2))
 
 
 def test_results_are_frozen():

@@ -6,6 +6,7 @@ import pytest
 from nsboxes import locality, lp
 from nsboxes.boolfn import anf
 from nsboxes.boxes import (
+    bit_tuples,
     make_correlated,
     make_even_parity,
     make_full_correlation,
@@ -183,19 +184,28 @@ def test_integer_tableau_matches_fraction_reference():
 
 
 def reference_extension(box, reduced):
-    """The certificate extension over eliminated strategies, in Fractions."""
-    zero = {key for key, v in box.entries.items() if v == 0}
+    """The certificate extension over the zero rows, in Fractions: every zero
+    row gets -(max(0, bound) + 1), bound = y_norm + sum_x max_a y(x, a)."""
     rows = [key for key, v in box.entries.items() if v != 0]
     duals = {key: y for key, y in zip(rows, reduced) if y != 0}
     duals[locality.NORM] = reduced[-1]
-    eliminated = [s for s in locality.strategies(box.n)
-                  if any(k in zero for k in locality.strategy_keys(s))]
-    score = lambda s: duals[locality.NORM] + sum(
-        (duals.get(k, 0) for k in locality.strategy_keys(s)), F(0))
-    penalty = max([F(0)] + [score(s) for s in eliminated]) + 1
-    for s in eliminated:
-        duals[next(k for k in locality.strategy_keys(s) if k in zero)] = -penalty
+    bound = reduced[-1]
+    for x in bit_tuples(box.n):
+        bound += max(duals.get((x, a), F(0)) for a in bit_tuples(box.n))
+    for key, v in box.entries.items():
+        if v == 0:
+            duals[key] = -(max(F(0), bound) + 1)
     return duals
+
+
+def unreduced_system(box):
+    """Every (x, a) row plus the norm row, one column per strategy."""
+    rows = list(box.entries) + [locality.NORM]
+    columns = []
+    for s in locality.strategies(box.n):
+        produced = set(locality.strategy_keys(s)) | {locality.NORM}
+        columns.append([F(key in produced) for key in rows])
+    return rows, columns, [box.entries[key] for key in rows[:-1]] + [F(1)]
 
 
 def seeded_boxes(rng):
@@ -241,3 +251,23 @@ def test_locality_systems_match_fraction_reference(monkeypatch):
             assert result.certificate.verify(box)
     assert {res.feasible for res in seen} == {True, False}
     assert any(y.denominator > 1 for res in seen if not res.feasible for y in res.certificate)
+
+
+def test_certificates_separate_the_unreduced_system():
+    """Boxes with zero entries: each certificate, zero rows included, passes
+    the generic Farkas check against all 4^n strategy columns."""
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(2):
+        for box in seeded_boxes(rng):
+            result = locality.decide_locality(box)
+            if result.local:
+                assert result.model.to_box() == box
+                continue
+            rows, columns, b = unreduced_system(box)
+            y = [result.certificate.row_duals.get(key, F(0)) for key in rows]
+            assert verify_certificate(columns, b, y)
+            zeros = [key for key, v in box.entries.items() if v == 0]
+            assert zeros and all(result.certificate.row_duals[key] < 0 for key in zeros)
+            checked += 1
+    assert checked >= 6
