@@ -10,7 +10,10 @@ variables.
 from __future__ import annotations
 
 import re
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .boxes import bit_tuples
 
@@ -27,12 +30,17 @@ class ExprSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class AnfFunction:
-    """Boolean function as XOR of AND-monomials over variables 1..n."""
+    """Boolean function as XOR of AND-monomials over variables 1..n.
+
+    Any iterable of index iterables is accepted as `monomials`; it is
+    stored as a frozenset of frozensets.
+    """
 
     n: int
     monomials: frozenset[Monomial]
 
     def __post_init__(self):
+        object.__setattr__(self, "monomials", frozenset(map(frozenset, self.monomials)))
         for mono in self.monomials:
             for i in mono:
                 if not 1 <= i <= self.n:
@@ -68,7 +76,7 @@ class AnfFunction:
 
 def anf(n: int, monomials) -> AnfFunction:
     """Build an AnfFunction from any iterable of index iterables."""
-    return AnfFunction(n, frozenset(frozenset(m) for m in monomials))
+    return AnfFunction(n, monomials)
 
 
 _TOKEN = re.compile(r"\s*(x\d+|1|0|\+|\*)")
@@ -120,20 +128,19 @@ def parse_expr(text: str, n: int) -> AnfFunction:
             elif tok == "1":
                 pass
             else:
-                index = int(tok[1:])
-                if index < 1 or index > n:
-                    raise ExprSyntaxError(
-                        f"variable {tok} outside x1..x{n}", at
-                    )
+                # Digits longer than n's are out of range and never reach int().
+                digits = tok[1:].lstrip("0")
+                index = int(digits) if 0 < len(digits) <= len(str(n)) else 0
+                if not 1 <= index <= n:
+                    raise ExprSyntaxError(f"variable {tok} outside x1..x{n}", at)
                 factors.add(index)
             expect_factor = False
         if expect_factor:
             raise ExprSyntaxError("dangling '*'", term[-1][1])
         if is_zero:
             continue
-        mono = frozenset(factors)
-        monomials ^= {mono}
-    return AnfFunction(n, frozenset(monomials))
+        monomials ^= {frozenset(factors)}
+    return AnfFunction(n, monomials)
 
 
 def anf_from_truth_table(tt) -> AnfFunction:
@@ -164,7 +171,7 @@ def anf_from_truth_table(tt) -> AnfFunction:
                 i + 1 for i in range(n) if idx & (1 << (n - 1 - i))
             )
             monomials.add(mono)
-    return AnfFunction(n, frozenset(monomials))
+    return AnfFunction(n, monomials)
 
 
 @dataclass(frozen=True)
@@ -174,60 +181,51 @@ class NonlocalSupport:
     `blocks` are the connected components of the graph on `j_set` joining
     monomials that share a variable; distinct blocks use disjoint variables
     and the block count is maximal.  `m_values[I]` counts the variables of I
-    appearing in no other j_set monomial.
+    appearing in no other j_set monomial; it is a read-only mapping.
     """
 
     j_set: frozenset[Monomial]
     blocks: tuple[frozenset[Monomial], ...]
-    m_values: dict
-    n_j: int
+    m_values: Mapping[Monomial, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "m_values", MappingProxyType(dict(self.m_values)))
+
+    def __hash__(self) -> int:
+        return hash(self.j_set)
+
+    @property
+    def n_j(self) -> int:
+        return len(self.blocks)
 
     @property
     def union(self) -> frozenset[int]:
-        return frozenset().union(*self.j_set) if self.j_set else frozenset()
+        return frozenset().union(*self.j_set)
 
 
 def nonlocal_support(f: AnfFunction) -> NonlocalSupport:
     """Compute the degree->=2 support, its blocks, and per-monomial m values."""
     j_set = frozenset(m for m in f.monomials if len(m) >= 2)
-    remaining = set(j_set)
     blocks: list[frozenset[Monomial]] = []
-    while remaining:
-        seed = remaining.pop()
-        component = {seed}
-        variables = set(seed)
-        grew = True
-        while grew:
-            grew = False
-            for mono in list(remaining):
-                if variables & mono:
-                    component.add(mono)
-                    variables |= mono
-                    remaining.remove(mono)
-                    grew = True
-        blocks.append(frozenset(component))
-    blocks.sort(key=lambda blk: sorted(sorted(m) for m in blk))
-    m_values = {}
     for mono in j_set:
-        others = [m for m in j_set if m != mono]
-        covered = frozenset().union(*others) if others else frozenset()
-        m_values[mono] = len(mono - covered)
+        # mono joins, and so merges, every block it shares a variable with
+        merged = frozenset([mono]).union(*(b for b in blocks if any(mono & m for m in b)))
+        blocks = [b for b in blocks if not b <= merged] + [merged]
+    blocks.sort(key=lambda blk: sorted(sorted(m) for m in blk))
+    uses = Counter(i for m in j_set for i in m)
     return NonlocalSupport(
         j_set=j_set,
         blocks=tuple(blocks),
-        m_values=m_values,
-        n_j=len(blocks),
+        m_values={m: sum(uses[i] == 1 for i in m) for m in j_set},
     )
 
 
 def local_part(f: AnfFunction) -> AnfFunction:
     """The XOR of f's monomials of degree at most one (constant included)."""
-    return AnfFunction(
-        f.n, frozenset(m for m in f.monomials if len(m) <= 1)
-    )
+    return AnfFunction(f.n, [m for m in f.monomials if len(m) <= 1])
 
 
 def monomial_function(n: int, variables) -> AnfFunction:
     """Single-monomial function: the AND of the given variables."""
-    return AnfFunction(n, frozenset([frozenset(variables)]))
+    return AnfFunction(n, [variables])
 

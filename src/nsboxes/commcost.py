@@ -49,12 +49,16 @@ class NotAmplifiableError(ValueError):
 
 @dataclass(frozen=True)
 class CommGraph:
-    """Directed graph on party vertices; an edge is a one-way channel."""
+    """Directed graph on party vertices; an edge is a one-way channel.
+
+    `edges` may be any iterable of pairs; it is stored as a frozenset.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        object.__setattr__(self, "edges", frozenset(self.edges))
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -77,12 +81,13 @@ def _chain(vertices: list[int]) -> set[tuple[int, int]]:
     return {(a, b) for a, b in zip(vertices, vertices[1:])}
 
 
+def _scratch_count(support: NonlocalSupport) -> int:
+    return len(support.union) - support.n_j
+
+
 def n_scratch(f: AnfFunction) -> int:
     """One-way channels needed to simulate the box from scratch."""
-    support = nonlocal_support(f)
-    if not support.j_set:
-        return 0
-    return len(support.union) - support.n_j
+    return _scratch_count(nonlocal_support(f))
 
 
 def scratch_graph(f: AnfFunction) -> CommGraph:
@@ -96,7 +101,7 @@ def scratch_graph(f: AnfFunction) -> CommGraph:
     for block in support.blocks:
         vertices = sorted(frozenset().union(*block), reverse=True)
         edges |= _chain(vertices)
-    return CommGraph(n=f.n, edges=frozenset(edges))
+    return CommGraph(n=f.n, edges=edges)
 
 
 def verify_path_condition(g: CommGraph, support: NonlocalSupport) -> bool:
@@ -164,31 +169,16 @@ def decompose(f: AnfFunction) -> Decomposition:
     return Decomposition(n=f.n, parts=tuple(parts), residual=local_part(f))
 
 
+def _boost_bound(n: int, support: NonlocalSupport) -> int:
+    return max(0, n - 1 - max(support.m_values.values()))
+
+
 def n_distill_bound(f: AnfFunction) -> int:
     """Channel-count bound for boosting a weak copy of the box.
 
     Equals n - 1 - max m_I, or 0 when the best monomial covers all parties.
     """
-    support = _single_block_support(f, "the boosting bound")
-    best = max(support.m_values.values())
-    if best == f.n:
-        return 0
-    return f.n - 1 - best
-
-
-def _isolation_candidates(support: NonlocalSupport) -> list[frozenset[int]]:
-    """Monomials that can be cut out exactly: no other monomial nests inside.
-
-    Pinning the inputs outside a candidate to zero kills every other
-    monomial, which is what makes the cut land exactly on a correlated box.
-    """
-    out = []
-    for mono in support.j_set:
-        if not any(
-            other <= mono for other in support.j_set if other != mono
-        ):
-            out.append(mono)
-    return out
+    return _boost_bound(f.n, _single_block_support(f, "the boosting bound"))
 
 
 @dataclass(frozen=True)
@@ -198,40 +188,6 @@ class AmplifiabilityResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def amplifiable(f: AnfFunction) -> AmplifiabilityResult:
-    """Whether a weak copy plus a strict channel subset can boost the box.
-
-    Holds when the support forms a single block and either the margin
-    condition max m_I > n - |union of monomials| is met or some isolable
-    monomial leaves strictly fewer forwarding channels than the
-    from-scratch count.
-    """
-    support = nonlocal_support(f)
-    if not support.j_set:
-        return AmplifiabilityResult(
-            ok=False, reasons=("no degree->=2 monomials: the box is local",)
-        )
-    if support.n_j != 1:
-        return AmplifiabilityResult(
-            ok=False, reasons=(f"n_J = {support.n_j} != 1",)
-        )
-    best = max(support.m_values.values())
-    margin = f.n - len(support.union)
-    if best > margin:
-        return AmplifiabilityResult(ok=True)
-    scratch = len(support.union) - 1
-    for mono in _isolation_candidates(support):
-        if f.n - len(mono) < scratch:
-            return AmplifiabilityResult(ok=True)
-    return AmplifiabilityResult(
-        ok=False,
-        reasons=(
-            f"max m_I = {best} <= n - |union| = {margin}",
-            "no isolable monomial saves channels",
-        ),
-    )
 
 
 @dataclass(frozen=True)
@@ -249,56 +205,77 @@ class AmplificationPlan:
     graph: CommGraph
     distill_graph: CommGraph
     n_scratch: int
-    n_distill: int
     bound: int
 
+    @property
+    def n_distill(self) -> int:
+        return len(self.distill_graph.edges)
 
-def plan(f: AnfFunction) -> AmplificationPlan:
-    """Construct the boosting plan for an amplifiable single-block function.
 
-    The isolated monomial is the m_I maximizer (ties to the smallest
-    variable set) when nothing nests inside it, otherwise the largest
-    nest-free monomial.  The witness graph chains all parties so that the
+def _plan(f: AnfFunction) -> AmplificationPlan | tuple[str, ...]:
+    """The boosting plan for f, or the reasons f is not amplifiable.
+
+    f is amplifiable when its support forms a single block and either the
+    margin condition max m_I > n - |union of monomials| is met or some
+    isolable monomial leaves strictly fewer forwarding channels than the
+    from-scratch count.  The isolated monomial is the m_I maximizer (ties
+    to the smallest variable set) when it is isolable, otherwise the
+    largest isolable one.  The witness graph chains all parties so that the
     forwarding edges come first and end at the receiver, making the
     forwarding graph an automatic strict subset.
     """
-    verdict = amplifiable(f)
-    if not verdict:
-        raise NotAmplifiableError("; ".join(verdict.reasons))
     support = nonlocal_support(f)
-    candidates = _isolation_candidates(support)
-    best_m = max(support.m_values.values())
-    preferred = sorted(
-        (m for m, v in support.m_values.items() if v == best_m),
-        key=lambda m: sorted(m),
-    )[0]
-    if preferred in candidates:
-        isolated = preferred
-    else:
-        isolated = sorted(candidates, key=lambda m: (-len(m), sorted(m)))[0]
+    if not support.j_set:
+        return ("no degree->=2 monomials: the box is local",)
+    if support.n_j != 1:
+        return (f"n_J = {support.n_j} != 1",)
+    # A monomial is isolable when no other monomial nests inside it: pinning
+    # the inputs outside it to zero then kills every other monomial, which
+    # is what makes the cut land exactly on a correlated box.
+    isolable = [m for m in support.j_set if not any(o < m for o in support.j_set)]
+    best = max(support.m_values.values())
+    margin = f.n - len(support.union)
+    scratch = _scratch_count(support)
+    if best <= margin and all(f.n - len(m) >= scratch for m in isolable):
+        return (
+            f"max m_I = {best} <= n - |union| = {margin}",
+            "no isolable monomial saves channels",
+        )
+    isolated = min((m for m, v in support.m_values.items() if v == best), key=sorted)
+    if isolated not in isolable:
+        isolated = min(isolable, key=lambda m: (-len(m), sorted(m)))
 
-    shared = isolated & frozenset().union(
-        *(m for m in support.j_set if m != isolated)
-    ) if len(support.j_set) > 1 else frozenset()
+    shared = isolated & frozenset().union(*(m for m in support.j_set if m != isolated))
     receiver = min(shared) if shared else min(isolated)
-    forwarding = sorted(
-        set(range(1, f.n + 1)) - isolated, reverse=True
-    )
+    forwarding = sorted(set(range(1, f.n + 1)) - isolated, reverse=True)
     tail = sorted(isolated - {receiver}, reverse=True)
-    chain = forwarding + [receiver] + tail
-    graph = CommGraph(n=f.n, edges=frozenset(_chain(chain)))
-    distill_graph = CommGraph(
-        n=f.n, edges=frozenset(_chain(forwarding + [receiver]))
-    )
     return AmplificationPlan(
         isolated=isolated,
         receiver=receiver,
-        graph=graph,
-        distill_graph=distill_graph,
-        n_scratch=n_scratch(f),
-        n_distill=len(distill_graph.edges),
-        bound=n_distill_bound(f),
+        graph=CommGraph(n=f.n, edges=_chain(forwarding + [receiver] + tail)),
+        distill_graph=CommGraph(n=f.n, edges=_chain(forwarding + [receiver])),
+        n_scratch=scratch,
+        bound=_boost_bound(f.n, support),
     )
+
+
+def amplifiable(f: AnfFunction) -> AmplifiabilityResult:
+    """Whether a weak copy plus a strict channel subset can boost the box.
+
+    `_plan` decides it, together with the choice of the isolated monomial.
+    """
+    result = _plan(f)
+    if isinstance(result, AmplificationPlan):
+        return AmplifiabilityResult(ok=True)
+    return AmplifiabilityResult(ok=False, reasons=result)
+
+
+def plan(f: AnfFunction) -> AmplificationPlan:
+    """The boosting plan for an amplifiable single-block function."""
+    result = _plan(f)
+    if isinstance(result, tuple):
+        raise NotAmplifiableError("; ".join(result))
+    return result
 
 
 def _collapse_on_monomial(
@@ -416,11 +393,11 @@ def report_text(
     verify = verify_eps is not None
     if verify != (verify_steps is not None):
         raise ValueError("the end-to-end check needs both verify_eps and verify_steps")
-    verdict = amplifiable(f)
-    if verify and not verdict:
+    the_plan = _plan(f)
+    if verify and isinstance(the_plan, tuple):
         raise NotAmplifiableError(
             "end-to-end verification needs an amplifiable function: "
-            + "; ".join(verdict.reasons)
+            + "; ".join(the_plan)
         )
     support = nonlocal_support(f)
     lines = [f"function: {f.to_text()}", f"parties: {f.n}"]
@@ -446,16 +423,15 @@ def report_text(
     for mono in sorted(support.m_values, key=lambda m: sorted(m)):
         lines.append(f"m{_format_monomial(mono)} = {support.m_values[mono]}")
     lines.append(f"local residue: {local_part(f).to_text()}")
-    lines.append(f"n_scratch: {n_scratch(f)}")
+    lines.append(f"n_scratch: {_scratch_count(support)}")
     g = scratch_graph(f)
     lines.append(f"scratch graph edges: {_format_edges(g)}")
     lines.append(
         f"scratch path condition: {'ok' if verify_path_condition(g, support) else 'VIOLATED'}"
     )
-    if not verdict:
-        lines.append("amplifiable: no (" + "; ".join(verdict.reasons) + ")")
+    if isinstance(the_plan, tuple):
+        lines.append("amplifiable: no (" + "; ".join(the_plan) + ")")
         return "\n".join(lines) + "\n"
-    the_plan = plan(f)
     lines.append("amplifiable: yes")
     lines.append(f"isolated monomial: {_format_monomial(the_plan.isolated)}")
     lines.append(f"receiver: {the_plan.receiver}")

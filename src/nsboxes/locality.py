@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
+from types import MappingProxyType
 
 from . import lp
 from .boxes import ONE, ZERO, BoxTable, Bits, _exact, bit_tuples, check_exhaustive_party_count
@@ -51,13 +52,20 @@ def deterministic_box(n: int, s: Strategy) -> BoxTable:
 
 @dataclass(frozen=True)
 class LocalModel:
-    """Convex weights over deterministic strategies reproducing a box."""
+    """Convex weights over deterministic strategies reproducing a box.
 
-    weights: dict[Strategy, Fraction]
+    `weights` is stored as a read-only copy of the mapping given.
+    """
+
+    weights: Mapping[Strategy, Fraction]
 
     def __post_init__(self):
         if not self.weights:
             raise ValueError("a local model needs at least one strategy")
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.weights.items()))
 
     @property
     def n(self) -> int:
@@ -78,10 +86,17 @@ class NonlocalityCertificate:
 
     Rows are the (x, a) probability equations plus the normalization row
     ("norm",).  The certificate satisfies dot(y, rhs) > 0 while
-    dot(y, column) <= 0 for every deterministic strategy.
+    dot(y, column) <= 0 for every deterministic strategy.  `row_duals` is
+    stored as a read-only copy of the mapping given.
     """
 
-    row_duals: dict
+    row_duals: Mapping
+
+    def __post_init__(self):
+        object.__setattr__(self, "row_duals", MappingProxyType(dict(self.row_duals)))
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.row_duals.items()))
 
     def verify(self, box: BoxTable) -> bool:
         exact = {key: _exact(y, "certificate dual") for key, y in self.row_duals.items()}

@@ -52,6 +52,16 @@ class TestParser:
         with pytest.raises(ExprSyntaxError):
             parse_expr("x0", 2)
 
+    def test_variable_index_past_the_int_digit_limit(self):
+        # the index is range-checked before any conversion to int
+        with pytest.raises(ExprSyntaxError, match=r"outside x1\.\.x2 \(at position 3\)"):
+            parse_expr("x1*x" + "9" * 5000, 2)
+        with pytest.raises(ExprSyntaxError, match=r"outside x1\.\.x3 \(at position 0\)"):
+            parse_expr("x" + "1" * 5000, 3)
+        with pytest.raises(ExprSyntaxError, match="outside x1..x3"):
+            parse_expr("x00", 3)
+        assert parse_expr("x" + "0" * 5000 + "2", 3) == parse_expr("x2", 3)
+
     def test_rejects_non_ascii_xor(self):
         with pytest.raises(ExprSyntaxError):
             parse_expr("x1 ⊕ x2", 2)
@@ -206,6 +216,30 @@ class TestNonlocalSupport:
     def test_block_count_matches_brute_force(self, text, n):
         sup = nonlocal_support(parse_expr(text, n))
         assert sup.n_j == brute_force_max_partition(sup.j_set)
+
+
+class TestImmutability:
+    def test_function_freezes_the_monomials_given(self):
+        monomials = {frozenset({1, 2})}
+        f = AnfFunction(2, monomials)
+        monomials.add(frozenset({1}))
+        assert f.monomials == frozenset({frozenset({1, 2})})
+        assert isinstance(f.monomials, frozenset)
+        assert AnfFunction(2, [(1, 2)]) == f and hash(AnfFunction(2, [(1, 2)])) == hash(f)
+
+    def test_support_is_read_only_and_hashable(self):
+        sup = nonlocal_support(parse_expr("x1*x2*x3 + x3*x4 + x1", 4))
+        with pytest.raises(TypeError):
+            sup.m_values[frozenset({3, 4})] = 7
+        again = nonlocal_support(parse_expr("x3*x4 + x1*x2*x3", 4))
+        assert sup == again and hash(sup) == hash(again)
+        assert hash(nonlocal_support(parse_expr("x1*x2", 2))) is not None
+
+    def test_block_count_is_derived(self):
+        sup = nonlocal_support(parse_expr("x1*x2 + x3*x4", 4))
+        assert sup.n_j == len(sup.blocks) == 2
+        with pytest.raises(TypeError):
+            type(sup)(j_set=sup.j_set, blocks=sup.blocks, m_values=sup.m_values, n_j=2)
 
 
 class TestLocalPart:

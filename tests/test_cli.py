@@ -332,6 +332,11 @@ class TestErrorMapping:
             ("analyze", "--truth-table", "0110", "--n", "3"),
             1, "error: function has 2 variables, --n says 3", id="analyze-table-mismatch",
         ),
+        pytest.param(
+            ("analyze", "x1*x" + "9" * 5000, "--n", "3"),
+            1, "error: variable x" + "9" * 5000 + " outside x1..x3 (at position 3)",
+            id="analyze-variable-past-int-digit-limit",
+        ),
     ])
     def test_exit_code_and_message(self, capsys, argv, code, line):
         assert run(capsys, *argv) == (code, "", line + "\n")

@@ -38,6 +38,15 @@ class TestGraph:
         with pytest.raises(ValueError):
             CommGraph(n=3, edges=frozenset({(1, 4)}))
 
+    def test_edges_are_frozen_at_construction(self):
+        edges = {(1, 2)}
+        g = CommGraph(3, edges)
+        edges.add((2, 2))
+        assert g.edges == frozenset({(1, 2)})
+        with pytest.raises(AttributeError):
+            g.edges.add((2, 2))
+        assert hash(g) == hash(CommGraph(3, [(1, 2)]))
+
     def test_reachability(self):
         g = CommGraph(n=4, edges=frozenset({(4, 3), (3, 2), (2, 1)}))
         assert g.has_path(4, 1)
@@ -206,6 +215,7 @@ class TestAmplifiable:
         assert not verdict
 
     def test_every_three_party_function_with_nonlocal_support(self):
+        # all 256 functions: amplifiable and plan must give one verdict
         count = 0
         for mask in range(256):
             monos = [m for bit, m in enumerate(
@@ -214,10 +224,18 @@ class TestAmplifiable:
                  frozenset({1, 2, 3})]
             ) if mask >> bit & 1]
             f = anf(3, monos)
-            if not nonlocal_support(f).j_set:
+            verdict = amplifiable(f)
+            if not verdict:
+                with pytest.raises(NotAmplifiableError) as err:
+                    plan(f)
+                assert str(err.value) == "; ".join(verdict.reasons)
+                assert not nonlocal_support(f).j_set, f.to_text()
                 continue
+            p = plan(f)
+            assert p.n_distill == len(p.distill_graph.edges)
+            assert p.n_scratch == n_scratch(f)
+            assert p.bound == n_distill_bound(f)
             count += 1
-            assert amplifiable(f), f.to_text()
         assert count == 240
 
     def test_triangle_needs_the_isolation_route(self):
@@ -228,6 +246,16 @@ class TestAmplifiable:
         assert amplifiable(tri)
         p = plan(tri)
         assert p.n_distill == 1 < p.n_scratch == 2
+
+
+    def test_isolation_must_save_a_channel(self):
+        # with a fourth, idle party the cut forwards 2 shares, as many
+        # channels as the from-scratch count, so nothing is saved
+        verdict = amplifiable(parse_expr("x1*x2 + x1*x3 + x2*x3", 4))
+        assert verdict.reasons == (
+            "max m_I = 0 <= n - |union| = 1",
+            "no isolable monomial saves channels",
+        )
 
 
 class TestPlan:
@@ -290,6 +318,13 @@ class TestPlan:
         with pytest.raises(NotAmplifiableError):
             plan(six_party)
 
+    def test_forwarding_count_is_derived(self, four_party):
+        p = plan(four_party)
+        assert p.n_distill == len(p.distill_graph.edges) == 1
+        assert hash(p) == hash(plan(four_party))
+        with pytest.raises(TypeError):
+            type(p)(p.isolated, p.receiver, p.graph, p.distill_graph, p.n_scratch, p.n_distill, p.bound)
+
 
 class TestEndToEnd:
     @pytest.mark.parametrize("steps", [0, 1, 2])
@@ -329,6 +364,109 @@ class TestEndToEnd:
             verify_plan_end_to_end(f, F(1, 2), 1)
 
 
+# Full reports, byte for byte, one for each branch of the amplifiability rule
+# and of the choice of the isolated monomial.
+PINNED_REPORTS = [
+    pytest.param("x1*x2*x3 + x3*x4 + x1", 4, F(1, 2), 2, """\
+function: x1 + x3*x4 + x1*x2*x3
+parties: 4
+degree->=2 monomials: {1,2,3}, {3,4}
+blocks: {1,2,3}, {3,4}
+n_J: 1
+m{1,2,3} = 2
+m{3,4} = 1
+local residue: x1
+n_scratch: 3
+scratch graph edges: (2->1), (3->2), (4->3)
+scratch path condition: ok
+amplifiable: yes
+isolated monomial: {1,2,3}
+receiver: 3
+plan graph edges: (2->1), (3->2), (4->3)
+forwarding edges: (4->3)
+n_distill: 1
+n_distill bound (formula): 1
+end-to-end check (eps=1/2, steps=2): ok
+""", id="four-party-verified"),
+    pytest.param("x1*x2 + x2*x3 + x4*x5*x6 + x5", 6, None, None, """\
+function: x5 + x1*x2 + x2*x3 + x4*x5*x6
+parties: 6
+degree->=2 monomials: {1,2}, {2,3}, {4,5,6}
+blocks: {1,2}, {2,3} | {4,5,6}
+n_J: 2
+m{1,2} = 1
+m{2,3} = 1
+m{4,5,6} = 3
+local residue: x5
+n_scratch: 4
+scratch graph edges: (2->1), (3->2), (5->4), (6->5)
+scratch path condition: ok
+amplifiable: no (n_J = 2 != 1)
+""", id="six-party-two-blocks"),
+    pytest.param("x1*x2", 4, None, None, """\
+function: x1*x2
+parties: 4
+degree->=2 monomials: {1,2}
+blocks: {1,2}
+n_J: 1
+m{1,2} = 2
+local residue: 0
+n_scratch: 1
+scratch graph edges: (2->1)
+scratch path condition: ok
+amplifiable: no (max m_I = 2 <= n - |union| = 2; no isolable monomial saves channels)
+""", id="pair-among-four"),
+    pytest.param("x1*x2 + x1*x3 + x2*x3", 3, None, None, """\
+function: x1*x2 + x1*x3 + x2*x3
+parties: 3
+degree->=2 monomials: {1,2}, {1,3}, {2,3}
+blocks: {1,2}, {1,3}, {2,3}
+n_J: 1
+m{1,2} = 0
+m{1,3} = 0
+m{2,3} = 0
+local residue: 0
+n_scratch: 2
+scratch graph edges: (2->1), (3->2)
+scratch path condition: ok
+amplifiable: yes
+isolated monomial: {1,2}
+receiver: 1
+plan graph edges: (1->2), (3->1)
+forwarding edges: (3->1)
+n_distill: 1
+n_distill bound (formula): 2
+""", id="triangle"),
+    pytest.param("x1*x2*x3 + x1*x2", 3, None, None, """\
+function: x1*x2 + x1*x2*x3
+parties: 3
+degree->=2 monomials: {1,2}, {1,2,3}
+blocks: {1,2}, {1,2,3}
+n_J: 1
+m{1,2} = 0
+m{1,2,3} = 1
+local residue: 0
+n_scratch: 2
+scratch graph edges: (2->1), (3->2)
+scratch path condition: ok
+amplifiable: yes
+isolated monomial: {1,2}
+receiver: 1
+plan graph edges: (1->2), (3->1)
+forwarding edges: (3->1)
+n_distill: 1
+n_distill bound (formula): 1
+""", id="nested"),
+    pytest.param("x1 + 1", 3, None, None, """\
+function: 1 + x1
+parties: 3
+degree->=2 monomials: (none)
+local function; nothing to simulate
+""", id="local"),
+]
+
+
+
 class TestReport:
     def test_four_party_report_numbers(self, four_party):
         text = report_text(four_party, verify_eps=F(1, 2), verify_steps=1)
@@ -366,6 +504,10 @@ class TestReport:
     def test_verification_needs_both_eps_and_steps(self, four_party, verify_eps, verify_steps):
         with pytest.raises(ValueError, match="needs both verify_eps and verify_steps"):
             report_text(four_party, verify_eps, verify_steps)
+
+    @pytest.mark.parametrize("text, n, verify_eps, verify_steps, expected", PINNED_REPORTS)
+    def test_pinned_reports(self, text, n, verify_eps, verify_steps, expected):
+        assert report_text(parse_expr(text, n), verify_eps, verify_steps) == expected
 
     def test_reports_are_deterministic(self, four_party):
         assert report_text(four_party) == report_text(four_party)

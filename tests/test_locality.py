@@ -165,3 +165,33 @@ class TestRealism:
             assert realism_marginal(dist, 1, x) == {
                 a: box.prob(x, a) for a in bit_tuples(1)
             }
+
+
+def test_results_are_immutable_and_hashable():
+    local = decide_locality(make_even_parity(2))
+    nonlocal_ = decide_locality(make_npr(2))
+    strategy = next(iter(local.model.weights))
+    with pytest.raises(TypeError):
+        local.model.weights[strategy] = 7
+    with pytest.raises(TypeError):
+        nonlocal_.certificate.row_duals[NORM] = 7
+    assert local.model.to_box() == make_even_parity(2)
+    for result, again in [
+        (local, decide_locality(make_even_parity(2))),
+        (nonlocal_, decide_locality(make_npr(2))),
+    ]:
+        assert result == again and hash(result) == hash(again)
+    assert len({local, nonlocal_, decide_locality(make_npr(2))}) == 2
+
+
+def test_values_copy_the_mapping_given():
+    weights = {((0, 0), (1, 1)): F(1)}
+    model = LocalModel(weights)
+    weights[((0, 1), (0, 1))] = F(0)
+    assert len(model.weights) == 1
+    duals = dict(decide_locality(make_npr(2)).certificate.row_duals)
+    certificate = NonlocalityCertificate(duals)
+    duals[NORM] += 1
+    assert certificate.verify(make_npr(2))
+    assert certificate == NonlocalityCertificate(dict(certificate.row_duals))
+    assert hash(certificate) == hash(NonlocalityCertificate(dict(certificate.row_duals)))
