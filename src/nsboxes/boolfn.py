@@ -10,6 +10,7 @@ variables.
 from __future__ import annotations
 
 import re
+import string
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -79,7 +80,7 @@ def anf(n: int, monomials) -> AnfFunction:
     return AnfFunction(n, monomials)
 
 
-_TOKEN = re.compile(r"\s*(x\d+|1|0|\+|\*)")
+_TOKEN = re.compile(r"\s*(x\d+|1|0|\+|\*)", re.ASCII)
 
 
 def parse_expr(text: str, n: int) -> AnfFunction:
@@ -94,7 +95,7 @@ def parse_expr(text: str, n: int) -> AnfFunction:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            stripped = text[pos:].lstrip()
+            stripped = text[pos:].lstrip(string.whitespace)
             at = len(text) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", at)
         tokens.append((m.group(1), m.start(1)))

@@ -138,16 +138,14 @@ def decide_locality(box: BoxTable) -> LocalityResult:
     entries = box.entries
     row_keys = [key for key, v in entries.items() if v != 0]
     row = {key: i for i, key in enumerate(row_keys)}
+    norm_row = len(row_keys)
     surviving: list[Strategy] = []
     columns = []
     for s in strategies(n):
         hits = [row.get(key) for key in strategy_keys(s)]
         if None not in hits:
-            col = [ZERO] * len(row_keys) + [ONE]
-            for i in hits:
-                col[i] = ONE
             surviving.append(s)
-            columns.append(col)
+            columns.append(hits + [norm_row])
 
     result = lp.solve_equality_feasibility(columns, [entries[key] for key in row_keys] + [ONE])
     if result.feasible:
@@ -189,8 +187,12 @@ def realism_distribution(model: LocalModel) -> dict:
 
 def realism_marginal(dist: dict, n: int, x: Bits) -> dict:
     """Marginal of the joint potential-output distribution at input x."""
+    if len(x) != n:
+        raise ValueError(f"input has {len(x)} bits, n says {n}")
     out: dict = {}
     for point, w in dist.items():
+        if len(point) != 2 * n:
+            raise ValueError(f"point {point!r} has {len(point)} bits, expected {2 * n}")
         a = tuple(point[2 * i + x[i]] for i in range(n))
         out[a] = out.get(a, ZERO) + w
     return out

@@ -1,14 +1,14 @@
-"""Exact rational feasibility solver for systems A w = b, w >= 0.
+"""Exact rational feasibility solver for systems A w = b, w >= 0, A 0/1.
 
 Phase-1 simplex with Bland's anti-cycling rule: minimize the sum of
 artificial variables starting from the all-artificial basis.  A zero optimum
 yields a feasible point; a positive optimum yields a Farkas certificate y
 with y.b > 0 and y.A_j <= 0 for every column j.
 
-The tableau holds integers.  Each column is scaled by the LCM of its
-denominators and b by the LCM of its own; that rescales the variables by
-positive factors, which leaves Bland's entering column and the ratio test's
-leaving row unchanged.  Pivoting is fraction-free (Edmonds, J. Res. NBS 71B
+Each column of A is given by its rows: `columns[j]` lists the distinct row
+indices where column j holds a 1; every other entry is 0.  b must be
+nonnegative.  The tableau holds integers: b is scaled by the LCM of its
+denominators, and pivoting is fraction-free (Edmonds, J. Res. NBS 71B
 (1967); Bareiss, Math. Comp. 22 (1968)): every stored entry is the running
 determinant `det`, the last pivot, times the rational entry, and each update
 divides exactly by the previous `det`.  Fractions are built only for the
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .boxes import ZERO, _exact
 
@@ -27,9 +28,9 @@ from .boxes import ZERO, _exact
 @dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
-    solution: list | None = None      # weight per column when feasible
-    certificate: list | None = None   # y per row (original orientation) otherwise
-    pivots: int = 0                   # simplex pivots taken
+    solution: tuple | None = None      # weight per column when feasible
+    certificate: tuple | None = None   # y per row otherwise
+    pivots: int = 0                    # simplex pivots taken
 
 
 def _check_length(values, expected: int, what: str) -> None:
@@ -37,39 +38,37 @@ def _check_length(values, expected: int, what: str) -> None:
         raise ValueError(f"{what} length mismatch: {len(values)} entries, expected {expected}")
 
 
-def _integers(values) -> tuple[list[int], int]:
-    """values as integer numerators over the LCM of their denominators."""
-    exact = [_exact(v, "LP coefficient") for v in values]
-    scale = math.lcm(*(f.denominator for f in exact))
-    return [f.numerator * (scale // f.denominator) for f in exact], scale
+def _check_columns(columns, m: int) -> None:
+    for rows in columns:
+        if not all(isinstance(i, int) and 0 <= i < m for i in rows) or len(set(rows)) != len(rows):
+            raise ValueError(f"a column must list distinct row indices in range({m}), got {rows!r}")
 
 
-def solve_equality_feasibility(columns: list[list[Fraction]], b: list[Fraction]) -> FeasibilityResult:
+def solve_equality_feasibility(columns: list[list[int]], b: list[Fraction]) -> FeasibilityResult:
     """Decide whether b is a nonnegative combination of the given columns.
 
-    `columns[j]` is the j-th column of A; all columns and b share the row
-    count.  Runs entirely in exact arithmetic.
+    `columns[j]` lists the rows where column j holds a 1, and b >= 0.  Runs
+    entirely in exact arithmetic.
     """
     m = len(b)
     n = len(columns)
-    for col in columns:
-        _check_length(col, m, "column")
-    scaled = [_integers(col) for col in columns]
-    rhs, b_scale = _integers(b)
+    exact = [_exact(v, "LP coefficient") for v in b]
+    if any(v < 0 for v in exact):
+        raise ValueError(f"the right-hand side must be nonnegative, got {min(exact)}")
+    _check_columns(columns, m)
+    b_scale = math.lcm(*(f.denominator for f in exact))
+    rhs = [f.numerator * (b_scale // f.denominator) for f in exact]
 
-    # Orient rows so the right-hand side is nonnegative.
-    signs = [1 if v >= 0 else -1 for v in rhs]
-    rhs = [s * v for s, v in zip(signs, rhs)]
-    # Tableau over original columns followed by the m artificial columns.
-    tab = [
-        [signs[i] * col[i] for col, _ in scaled] + [int(k == i) for k in range(m)]
-        for i in range(m)
-    ]
+    # Tableau over the given columns followed by the m artificial columns.
+    tab = [[0] * n + [int(k == i) for k in range(m)] for i in range(m)]
+    for j, rows in enumerate(columns):
+        for i in rows:
+            tab[i][j] = 1
     basis = [n + i for i in range(m)]
     # Reduced objective row for minimizing the artificial sum: the entry for
-    # column j is z_j - c_j with c = (0,...,0, 1,...,1), so 1 - 1 on the
-    # artificial columns.
-    obj = [sum(s * v for s, v in zip(signs, col)) for col, _ in scaled] + [0] * m
+    # column j is z_j - c_j with c = (0,...,0, 1,...,1), so a column's count
+    # of ones, and 1 - 1 on the artificial columns.
+    obj = [len(rows) for rows in columns] + [0] * m
 
     det = 1
     pivots = 0
@@ -117,43 +116,28 @@ def solve_equality_feasibility(columns: list[list[Fraction]], b: list[Fraction])
         for i in range(m):
             j = basis[i]
             if j < n:
-                solution[j] = Fraction(rhs[i] * scaled[j][1], det * b_scale)
-        return FeasibilityResult(feasible=True, solution=solution, pivots=pivots)
+                solution[j] = Fraction(rhs[i], det * b_scale)
+        return FeasibilityResult(feasible=True, solution=tuple(solution), pivots=pivots)
 
-    # Farkas certificate: the dual y = c_B B^[-1] read off the artificial
-    # columns, mapped back to the original row orientation.
-    y = [signs[i] * (Fraction(obj[n + i], det) + 1) for i in range(m)]
+    # Farkas certificate: the dual y = c_B B^[-1] read off the artificial columns.
+    y = tuple(Fraction(obj[n + i] + det, det) for i in range(m))
     return FeasibilityResult(feasible=False, certificate=y, pivots=pivots)
 
 
 def verify_feasible(columns, b, solution) -> bool:
     """Exact check that solution >= 0 and A @ solution == b."""
-    for col in columns:
-        _check_length(col, len(b), "column")
+    _check_columns(columns, len(b))
     _check_length(solution, len(columns), "solution")
-    if any(w < 0 for w in solution):
-        return False
-    m = len(b)
-    for i in range(m):
-        total = ZERO
-        for j, col in enumerate(columns):
-            if solution[j] != 0:
-                total += col[i] * solution[j]
-        if total != b[i]:
-            return False
-    return True
+    total = [ZERO] * len(b)
+    for rows, w in zip(columns, solution):
+        for i in rows:
+            total[i] += w
+    return all(w >= 0 for w in solution) and total == list(b)
 
 
 def verify_certificate(columns, b, y) -> bool:
     """Exact check that y.b > 0 while y.A_j <= 0 for every column."""
-    for col in columns:
-        _check_length(col, len(b), "column")
+    _check_columns(columns, len(b))
     _check_length(y, len(b), "certificate")
-    dot_b = sum((y[i] * b[i] for i in range(len(b))), ZERO)
-    if dot_b <= 0:
-        return False
-    for col in columns:
-        dot = sum((y[i] * col[i] for i in range(len(col))), ZERO)
-        if dot > 0:
-            return False
-    return True
+    dot_b = sum(map(mul, y, b), ZERO)
+    return dot_b > 0 and all(sum((y[i] for i in rows), ZERO) <= 0 for rows in columns)

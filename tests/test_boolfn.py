@@ -66,6 +66,16 @@ class TestParser:
         with pytest.raises(ExprSyntaxError):
             parse_expr("x1 ⊕ x2", 2)
 
+    @pytest.mark.parametrize("text, char, position", [
+        ("x\u0661*x\u0662", "x", 0),  # Arabic-Indic digits one and two
+        ("x1\u2003x2", "\u2003", 2),  # em space
+        ("x1\xa0x2", "\xa0", 2),  # no-break space
+    ])
+    def test_rejects_non_ascii_digits_and_spaces(self, text, char, position):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, 2)
+        assert str(err.value) == f"unexpected character {char!r} (at position {position})"
+
     def test_rejects_empty_terms(self):
         for bad in ["", "x1 +", "+ x1", "x1 + + x2", "x1 * + x2", "x1 *"]:
             with pytest.raises(ExprSyntaxError):

@@ -359,12 +359,8 @@ def test_box_table_rejects_float_probabilities():
     ):
         with pytest.raises(TypeError, match="float weight"):
             call()
-    for call in (
-        lambda: solve_equality_feasibility([[1]], [0.1]),
-        lambda: solve_equality_feasibility([[F(1), 0.5]], [1, 1]),
-    ):
-        with pytest.raises(TypeError, match="float LP coefficient"):
-            call()
+    with pytest.raises(TypeError, match="float LP coefficient"):
+        solve_equality_feasibility([[0]], [0.1])
     with pytest.raises(TypeError, match="float certificate dual"):
         NonlocalityCertificate({NORM: 0.5}).verify(make_npr(2))
 

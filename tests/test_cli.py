@@ -337,6 +337,10 @@ class TestErrorMapping:
             1, "error: variable x" + "9" * 5000 + " outside x1..x3 (at position 3)",
             id="analyze-variable-past-int-digit-limit",
         ),
+        pytest.param(
+            ("analyze", "x\u0661*x\u0662", "--n", "2"),
+            1, "error: unexpected character 'x' (at position 0)", id="analyze-non-ascii-digits",
+        ),
     ])
     def test_exit_code_and_message(self, capsys, argv, code, line):
         assert run(capsys, *argv) == (code, "", line + "\n")

@@ -134,6 +134,15 @@ def test_results_are_frozen():
 
 
 class TestRealism:
+    def test_marginal_checks_the_party_count(self):
+        dist = realism_distribution(is_local(make_even_parity(2)))
+        with pytest.raises(ValueError, match="input has 3 bits, n says 2"):
+            realism_marginal(dist, 2, (0, 0, 0))
+        with pytest.raises(ValueError, match=r"has 4 bits, expected 6"):
+            realism_marginal(dist, 3, (0, 0, 0))
+        with pytest.raises(ValueError, match=r"has 4 bits, expected 2"):
+            realism_marginal(dist, 1, (0,))
+
     def test_point_mass_for_deterministic_model(self):
         s = ((0, 1), (1, 0))
         model = LocalModel(weights={s: F(1)})

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -22,12 +23,10 @@ from nsboxes.lp import (
 
 
 def fraction_bland(columns, b):
-    """Reference solver: the phase-1 Bland simplex on a Fraction tableau."""
+    """Reference solver: the phase-1 Bland simplex on a dense Fraction tableau."""
     m, n = len(b), len(columns)
-    signs = [1 if v >= 0 else -1 for v in b]
-    rhs = [s * F(v) for s, v in zip(signs, b)]
-    tab = [[signs[i] * F(col[i]) for col in columns] + [F(k == i) for k in range(m)]
-           for i in range(m)]
+    rhs = [F(v) for v in b]
+    tab = [[F(col[i]) for col in columns] + [F(k == i) for k in range(m)] for i in range(m)]
     basis = list(range(n, n + m))
     obj = [sum((row[j] for row in tab), F(0)) - (j >= n) for j in range(n + m)]
     pivots = 0
@@ -56,17 +55,21 @@ def fraction_bland(columns, b):
         for i, j in enumerate(basis):
             if j < n:
                 solution[j] = rhs[i]
-        return FeasibilityResult(True, solution=solution, pivots=pivots)
-    y = [s * (obj[n + i] + 1) for i, s in enumerate(signs)]
-    return FeasibilityResult(False, certificate=y, pivots=pivots)
+        return FeasibilityResult(True, solution=tuple(solution), pivots=pivots)
+    return FeasibilityResult(False, certificate=tuple(obj[n + i] + 1 for i in range(m)), pivots=pivots)
 
 
-def cols(*columns):
-    return [[F(v) for v in col] for col in columns]
+def dense(columns, m):
+    """Each column given by its rows, as a dense 0/1 column of length m."""
+    return [[F(i in rows) for i in range(m)] for rows in columns]
+
+
+def reference(columns, b):
+    return fraction_bland(dense(columns, len(b)), b)
 
 
 def test_feasible_simple_combination():
-    columns = cols([1, 0], [0, 1], [1, 1])
+    columns = [[0], [1], [0, 1]]
     b = [F(1, 2), F(1, 2)]
     res = solve_equality_feasibility(columns, b)
     assert res.feasible
@@ -74,28 +77,17 @@ def test_feasible_simple_combination():
 
 
 def test_feasible_requires_exact_match():
-    columns = cols([1, 1])
-    res = solve_equality_feasibility(columns, [F(1), F(1)])
+    res = solve_equality_feasibility([[0, 1]], [F(1), F(1)])
     assert res.feasible
-    assert res.solution == [F(1)]
-
-
-def test_infeasible_negative_direction():
-    # b has a negative coordinate no nonnegative combination can reach
-    columns = cols([1, 0], [1, 1])
-    b = [F(1), F(-1)]
-    res = solve_equality_feasibility(columns, b)
-    assert not res.feasible
-    assert verify_certificate(columns, b, res.certificate)
+    assert res.solution == (F(1),)
 
 
 def test_infeasible_convexity_conflict():
     # columns sum to 1 in the last row but b demands 2
-    columns = cols([1, 0, 1], [0, 1, 1])
+    columns = [[0, 2], [1, 2]]
     b = [F(1), F(1), F(2)]
     res = solve_equality_feasibility(columns, b)
     assert res.feasible  # w = (1, 1) works: rows are 1, 1, 2
-    columns = cols([1, 0, 1], [0, 1, 1])
     b = [F(1), F(1), F(1)]
     res = solve_equality_feasibility(columns, b)
     assert not res.feasible
@@ -112,59 +104,95 @@ def test_no_columns_infeasible_unless_zero():
 
 def test_degenerate_system():
     # duplicated rows and redundant columns
-    columns = cols([1, 1, 2], [1, 1, 2], [0, 0, 0])
-    b = [F(1), F(1), F(2)]
+    columns = [[0, 1, 2], [2, 1, 0], []]
+    b = [F(1), F(1), F(1)]
     res = solve_equality_feasibility(columns, b)
     assert res.feasible
     assert verify_feasible(columns, b, res.solution)
 
 
-def test_column_length_mismatch():
-    with pytest.raises(ValueError):
-        solve_equality_feasibility(cols([1, 2], [1]), [F(1), F(2)])
+def test_rejects_negative_right_hand_side():
+    with pytest.raises(ValueError, match="right-hand side must be nonnegative, got -1/2"):
+        solve_equality_feasibility([[0], [1]], [F(1), F(-1, 2)])
+
+
+@pytest.mark.parametrize("rows", [[0, 0], [2], [-1], [0.0], ["1"]],
+                         ids=["repeated", "past-the-end", "negative", "float", "str"])
+def test_rejects_bad_row_indices(rows):
+    b = [F(1), F(1)]
+    message = r"distinct row indices in range\(2\)"
+    for call in (
+        lambda: solve_equality_feasibility([[1], rows], b),
+        lambda: verify_feasible([[1], rows], b, [F(1), F(1)]),
+        lambda: verify_certificate([[1], rows], b, [F(1), F(1)]),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_exactness_with_awkward_fractions():
-    columns = cols([F(1, 3), F(2, 7)], [F(1, 5), F(3, 11)])
-    target = [
-        F(1, 3) * F(2, 9) + F(1, 5) * F(5, 13),
-        F(2, 7) * F(2, 9) + F(3, 11) * F(5, 13),
-    ]
+    columns = [[0], [1], [0, 1]]
+    w = [F(2, 9), F(5, 13), F(3, 7)]
+    target = [w[0] + w[2], w[1] + w[2]]
     res = solve_equality_feasibility(columns, target)
     assert res.feasible
     assert verify_feasible(columns, target, res.solution)
+    assert res == reference(columns, target)
 
 
 def test_verifiers_reject_length_mismatch():
-    columns = cols([1, 0], [0, 1])
+    columns = [[0], [1]]
     b = [F(1), F(0)]
     with pytest.raises(ValueError, match="solution length mismatch"):
         verify_feasible(columns, b, [F(1)])
     with pytest.raises(ValueError, match="certificate length mismatch"):
         verify_certificate(columns, b, [F(1)])
-    with pytest.raises(ValueError, match="column length mismatch"):
-        verify_certificate(cols([1, 0, 0]), b, [F(1), F(1)])
+
+
+def test_verifiers_reject_wrong_answers():
+    columns = [[0], [0]]
+    assert verify_feasible(columns, [F(1)], [F(1, 3), F(2, 3)])
+    assert not verify_feasible(columns, [F(1)], [F(1, 3), F(1, 3)])
+    assert not verify_feasible(columns, [F(0)], [F(1), F(-1)])
+    columns, b = [[0]], [F(0), F(1)]
+    assert verify_certificate(columns, b, [F(0), F(1)])
+    assert not verify_certificate(columns, b, [F(1), F(1)])  # y.A_0 > 0
+    assert not verify_certificate(columns, b, [F(-1), F(0)])  # y.b = 0
+
+
+def test_results_are_immutable_and_hashable():
+    for b in ([F(1, 2), F(1, 3)], [F(1, 2), F(1, 3), F(1)]):
+        columns = [[0], [1]]
+        res = solve_equality_feasibility(columns, b)
+        again = solve_equality_feasibility(columns, list(b))
+        assert res == again and hash(res) == hash(again)
+        assert isinstance(res.solution if res.feasible else res.certificate, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.pivots = 0
 
 
 def random_system(rng):
-    """A signed rational system with zero columns and duplicate rows; b is
-    a nonnegative combination of the columns half the time."""
+    """A 0/1 system with empty and duplicate columns and duplicate rows; b is
+    nonnegative, and a nonnegative combination of the columns half the time."""
     m, n = rng.randint(1, 7), rng.randint(0, 9)
-    entry = lambda: F(rng.randint(-4, 4), rng.randint(1, 6))
-    columns = [[entry() if rng.random() < 0.7 else F(0) for _ in range(m)]
-               for _ in range(n)]
-    for col in columns:
+    columns = []
+    for j in range(n):
         if rng.random() < 0.15:
-            col[:] = [F(0)] * m
+            rows = []
+        elif j and rng.random() < 0.15:
+            rows = list(rng.choice(columns))
+        else:
+            rows = [i for i in range(m) if rng.random() < 0.5]
+        rng.shuffle(rows)
+        columns.append(rows)
     if m > 1 and rng.random() < 0.3:
-        i, k = rng.sample(range(m), 2)
-        for col in columns:
-            col[k] = col[i]
+        i, k = rng.sample(range(m), 2)  # row k becomes a copy of row i
+        columns = [[r for r in rows if r != k] + [k] * (i in rows) for rows in columns]
     if n and rng.random() < 0.5:
         w = [F(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(n)]
-        b = [sum((c[i] * wj for c, wj in zip(columns, w)), F(0)) for i in range(m)]
+        b = [sum((wj for rows, wj in zip(columns, w) if i in rows), F(0)) for i in range(m)]
     else:
-        b = [entry() for _ in range(m)]
+        b = [F(rng.randint(0, 4), rng.randint(1, 6)) for _ in range(m)]
     return columns, b
 
 
@@ -174,7 +202,7 @@ def test_integer_tableau_matches_fraction_reference():
     for _ in range(400):
         columns, b = random_system(rng)
         res = solve_equality_feasibility(columns, b)
-        assert res == fraction_bland(columns, b)
+        assert res == reference(columns, b)
         if res.feasible:
             assert verify_feasible(columns, b, res.solution)
         else:
@@ -204,7 +232,7 @@ def unreduced_system(box):
     columns = []
     for s in locality.strategies(box.n):
         produced = set(locality.strategy_keys(s)) | {locality.NORM}
-        columns.append([F(key in produced) for key in rows])
+        columns.append([i for i, key in enumerate(rows) if key in produced])
     return rows, columns, [box.entries[key] for key in rows[:-1]] + [F(1)]
 
 
@@ -229,7 +257,7 @@ def test_locality_systems_match_fraction_reference(monkeypatch):
 
     def checked(columns, b):
         res = solve(columns, b)
-        assert res == fraction_bland(columns, b)
+        assert res == reference(columns, b)
         seen.append(res)
         return res
 
