@@ -55,7 +55,6 @@ from .locality import (
     LocalityResult,
     NonlocalityCertificate,
     decide_locality,
-    is_local,
     realism_distribution,
     realism_marginal,
 )

@@ -80,7 +80,8 @@ def anf(n: int, monomials) -> AnfFunction:
     return AnfFunction(n, monomials)
 
 
-_TOKEN = re.compile(r"\s*(x\d+|1|0|\+|\*)", re.ASCII)
+# A bare x is a token, so a non-ASCII digit after it is the character named.
+_TOKEN = re.compile(r"\s*(x\d*|1|0|\+|\*)", re.ASCII)
 
 
 def parse_expr(text: str, n: int) -> AnfFunction:

@@ -7,6 +7,13 @@ up front (their weight is forced to zero), and a phase-1 simplex settles the
 rest.  A non-local verdict carries a Farkas certificate that is checked
 against every strategy column.
 
+Both passes over the 4^n strategies read one integer view of a box: the flat
+entry index `(x << n) | a`, the order in which `BoxTable.entries` holds its
+entries.  `_strategy_indices(n)` lists, per strategy, the flat indices it
+hits, one per input.  The LP pass maps them through a flat row list; the
+certificate check sums a flat integer list of duals, scaled to their common
+denominator, along them.
+
 The simplex sees only the nonzero rows.  Its certificate y is extended over
 the zero rows without scoring a strategy: none scores above `bound = y_norm +
 sum_x max_a y(x, a)` (zero rows counting as 0), so every zero row gets the dual
@@ -15,6 +22,7 @@ sum_x max_a y(x, a)` (zero rows counting as 0), so every zero row gets the dual
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator, Mapping
@@ -36,6 +44,23 @@ def strategies(n: int) -> list[Strategy]:
     """All 4^n deterministic strategy tuples, in a fixed order."""
     per_party = [(0, 0), (0, 1), (1, 0), (1, 1)]
     return list(itertools.product(per_party, repeat=n))
+
+
+@functools.lru_cache(maxsize=None)
+def _strategy_indices(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per strategy, in `strategies(n)` order, the flat indices it hits.
+
+    Entry x of a strategy's tuple is `(x << n) | a` with a its outputs on
+    input x.  The tuples are sums of per-party contributions, one party at a
+    time; callers keep n within `MAX_EXHAUSTIVE_PARTIES`.
+    """
+    table = [(0,)]
+    for i in range(n):
+        x_bit, a_bit = 1 << (2 * n - 1 - i), 1 << (n - 1 - i)
+        # A response pair contributes (index on input 0, index on input 1).
+        pairs = [(r0 * a_bit, x_bit | r1 * a_bit) for r0, r1 in ((0, 0), (0, 1), (1, 0), (1, 1))]
+        table = [tuple(v + c for v in hits for c in pair) for hits in table for pair in pairs]
+    return tuple(table)
 
 
 def strategy_keys(s: Strategy) -> Iterator[tuple[Bits, Bits]]:
@@ -106,15 +131,16 @@ class NonlocalityCertificate:
                 if isinstance(x, tuple) and len(x) != box.n:
                     raise ValueError(f"certificate is for {len(x)} parties, box has {box.n}")
                 raise ValueError(f"certificate row {key!r} is not an entry of the box")
+        check_exhaustive_party_count(box.n, "certificate check")
         if sum((y if key == NORM else y * box.entries[key] for key, y in exact.items()), ZERO) <= 0:
             return False
         # Score each strategy in integers over the duals' common denominator.
         den = math.lcm(*(y.denominator for y in exact.values()))
         numerators = {key: y.numerator * (den // y.denominator) for key, y in exact.items()}
-        norm = numerators.get(NORM, 0)
+        norm = numerators.pop(NORM, 0)
+        flat = [numerators.get(key, 0) for key in box.entries]
         return all(
-            norm + sum(numerators.get(key, 0) for key in strategy_keys(s)) <= 0
-            for s in strategies(box.n)
+            norm + sum(map(flat.__getitem__, hits)) <= 0 for hits in _strategy_indices(box.n)
         )
 
 
@@ -135,37 +161,40 @@ def decide_locality(box: BoxTable) -> LocalityResult:
 
     # Equations: one per nonzero entry, plus total weight one.  A strategy
     # hitting a zero entry must carry weight zero, so it gets no column.
-    entries = box.entries
-    row_keys = [key for key, v in entries.items() if v != 0]
-    row = {key: i for i, key in enumerate(row_keys)}
-    norm_row = len(row_keys)
-    surviving: list[Strategy] = []
+    row_of: list[int | None] = []  # flat index -> row, None on a zero entry
+    b = []
+    for v in box.entries.values():
+        if v != 0:
+            row_of.append(len(b))
+            b.append(v)
+        else:
+            row_of.append(None)
+    norm_row = len(b)
+    surviving: list[int] = []
     columns = []
-    for s in strategies(n):
-        hits = [row.get(key) for key in strategy_keys(s)]
-        if None not in hits:
-            surviving.append(s)
-            columns.append(hits + [norm_row])
+    for j, hits in enumerate(_strategy_indices(n)):
+        rows = list(map(row_of.__getitem__, hits))
+        if None not in rows:
+            rows.append(norm_row)
+            surviving.append(j)
+            columns.append(rows)
 
-    result = lp.solve_equality_feasibility(columns, [entries[key] for key in row_keys] + [ONE])
+    result = lp.solve_equality_feasibility(columns, b + [ONE])
     if result.feasible:
-        weights = {s: w for s, w in zip(surviving, result.solution) if w != 0}
+        all_strategies = strategies(n)
+        weights = {all_strategies[j]: w for j, w in zip(surviving, result.solution) if w != 0}
         return LocalityResult(model=LocalModel(weights=weights), certificate=None)
 
     # Extend the certificate over the zero rows (see the module docstring).
     *y, y_norm = result.certificate
-    duals = {key: v for key, v in zip(row_keys, y) if v != 0}
+    flat = [ZERO if r is None else y[r] for r in row_of]
+    duals = {key: v for key, v in zip(box.entries, flat) if v != 0}
     duals[NORM] = y_norm
-    outputs = list(bit_tuples(n))
-    bound = y_norm + sum(max(duals.get((x, a), ZERO) for a in outputs) for x in outputs)
+    side = 1 << n
+    bound = y_norm + sum(max(flat[i:i + side]) for i in range(0, len(flat), side))
     penalty = -(max(ZERO, bound) + ONE)
-    duals.update((key, penalty) for key, v in entries.items() if v == 0)
+    duals.update((key, penalty) for key, r in zip(box.entries, row_of) if r is None)
     return LocalityResult(model=None, certificate=NonlocalityCertificate(row_duals=duals))
-
-
-def is_local(box: BoxTable) -> LocalModel | None:
-    """LocalModel when the box is a mixture of deterministic strategies."""
-    return decide_locality(box).model
 
 
 def realism_distribution(model: LocalModel) -> dict:

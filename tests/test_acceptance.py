@@ -35,7 +35,6 @@ from nsboxes.distill import (
 from nsboxes.locality import (
     decide_locality,
     deterministic_box,
-    is_local,
     realism_distribution,
     realism_marginal,
 )
@@ -140,7 +139,7 @@ def test_criterion_07_locality_suite():
     def body():
         for n in (2, 3, 4):
             box = make_even_parity(n)
-            model = is_local(box)
+            model = decide_locality(box).model
             assert model is not None
             assert model.to_box() == box
         for n in (2, 3, 4):
@@ -190,7 +189,7 @@ def test_criterion_09_realism_certificates():
             )
         )
         for box in suite:
-            model = is_local(box)
+            model = decide_locality(box).model
             assert model is not None
             dist = realism_distribution(model)
             assert sum(dist.values()) == 1

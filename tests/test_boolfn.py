@@ -67,7 +67,7 @@ class TestParser:
             parse_expr("x1 ⊕ x2", 2)
 
     @pytest.mark.parametrize("text, char, position", [
-        ("x\u0661*x\u0662", "x", 0),  # Arabic-Indic digits one and two
+        ("x\u0661*x\u0662", "\u0661", 1),  # Arabic-Indic digits one and two
         ("x1\u2003x2", "\u2003", 2),  # em space
         ("x1\xa0x2", "\xa0", 2),  # no-break space
     ])
@@ -75,6 +75,11 @@ class TestParser:
         with pytest.raises(ExprSyntaxError) as err:
             parse_expr(text, 2)
         assert str(err.value) == f"unexpected character {char!r} (at position {position})"
+
+    @pytest.mark.parametrize("text", ["x", "x1*x", "x1 x", "x + x1"])
+    def test_rejects_a_bare_x(self, text):
+        with pytest.raises(ExprSyntaxError, match="variable x outside x1..x2"):
+            parse_expr(text, 2)
 
     def test_rejects_empty_terms(self):
         for bad in ["", "x1 +", "+ x1", "x1 + + x2", "x1 * + x2", "x1 *"]:

@@ -73,11 +73,19 @@ def test_npr_normalized_and_non_signaling_n4():
     assert is_non_signaling(box)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_constructors_non_signaling(n):
-    assert is_non_signaling(make_npr(n))
-    assert is_non_signaling(make_even_parity(n))
-    assert is_non_signaling(make_correlated(n, F(1, 3)))
+    f = anf(n, [frozenset(range(1, n + 1)), frozenset([1])])
+    g = anf(n, [frozenset([n])])
+    for box in [
+        make_npr(n),
+        make_even_parity(n),
+        make_correlated(n, F(1, 3)),
+        make_full_correlation(f),
+        xor_star([f, g], F(2, 5)),
+    ]:
+        check = is_non_signaling(box)
+        assert check.ok and check.witness is None
 
 
 def test_npr_party_count_range():
@@ -309,6 +317,47 @@ def test_signaling_box_detected_with_witness():
     k, x, x_flip, _ = check.witness
     assert k == 1
     assert x[0] != x_flip[0]
+
+
+def reference_signaling_witness(p):
+    """The first single-party flip violation, found by the tuple walk."""
+    n = p.n
+    for k in range(n):
+        for x in bit_tuples(n):
+            if x[k] == 1:
+                continue
+            x_flip = x[:k] + (1,) + x[k + 1:]
+            for a_rest in bit_tuples(n - 1):
+                totals = [F(0), F(0)]
+                for ak in (0, 1):
+                    a = a_rest[:k] + (ak,) + a_rest[k:]
+                    totals[0] += p.entries[(x, a)]
+                    totals[1] += p.entries[(x_flip, a)]
+                if totals[0] != totals[1]:
+                    return (k + 1, x, x_flip, a_rest)
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_signaling_witness_matches_the_tuple_walk(n):
+    rng = random.Random(n)
+    base_boxes = [make_correlated(n, F(1, 3)), make_npr(n), make_even_parity(n)]
+    for trial in range(12):
+        base = base_boxes[trial % len(base_boxes)]
+        entries = dict(base.entries)
+        # Move mass between two outputs of one input row, in one or two rows,
+        # so that some boxes signal at more than one pair of inputs.
+        for _ in range(1 + trial % 2):
+            x = tuple(rng.randrange(2) for _ in range(n))
+            donor = rng.choice([a for a in bit_tuples(n) if entries[(x, a)] > 0])
+            taker = rng.choice([a for a in bit_tuples(n) if a != donor])
+            moved = entries[(x, donor)] * F(rng.randrange(1, 5), 4)
+            entries[(x, donor)] -= moved
+            entries[(x, taker)] += moved
+        box = BoxTable(n, entries)
+        check = is_non_signaling(box)
+        assert not check
+        assert check.witness == reference_signaling_witness(box)
 
 
 def test_box_equal():

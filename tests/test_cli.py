@@ -339,7 +339,7 @@ class TestErrorMapping:
         ),
         pytest.param(
             ("analyze", "x\u0661*x\u0662", "--n", "2"),
-            1, "error: unexpected character 'x' (at position 0)", id="analyze-non-ascii-digits",
+            1, "error: unexpected character '\u0661' (at position 1)", id="analyze-non-ascii-digits",
         ),
     ])
     def test_exit_code_and_message(self, capsys, argv, code, line):

@@ -1,11 +1,15 @@
+import random
 import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
 
+from nsboxes import lp
 from nsboxes.boxes import (
     MAX_EXHAUSTIVE_PARTIES,
+    ONE,
+    ZERO,
     bit_tuples,
     make_correlated,
     make_even_parity,
@@ -14,11 +18,12 @@ from nsboxes.boxes import (
 )
 from nsboxes.locality import (
     NORM,
+    LocalityResult,
     LocalModel,
     NonlocalityCertificate,
+    _strategy_indices,
     decide_locality,
     deterministic_box,
-    is_local,
     realism_distribution,
     realism_marginal,
     strategies,
@@ -52,7 +57,7 @@ def test_strategy_enumeration():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_even_parity_local_with_reproducing_model(n):
     box = make_even_parity(n)
-    model = is_local(box)
+    model = decide_locality(box).model
     assert model is not None
     assert all(w > 0 for w in model.weights.values())
     assert sum(model.weights.values()) == 1
@@ -85,7 +90,7 @@ def test_npr2_chsh_value_is_algebraic_maximum():
 def test_deterministic_box_is_local():
     s = ((0, 1), (1, 0), (1, 1))
     box = deterministic_box(3, s)
-    model = is_local(box)
+    model = decide_locality(box).model
     assert model is not None
     assert model.to_box() == box
     with pytest.raises(ValueError, match="n says 3"):
@@ -101,7 +106,7 @@ def test_mixture_of_deterministic_boxes_is_local():
     s1 = ((0, 0), (1, 1))
     s2 = ((0, 1), (0, 1))
     box = mix([deterministic_box(2, s1), deterministic_box(2, s2)], [F(1, 3), F(2, 3)])
-    model = is_local(box)
+    model = decide_locality(box).model
     assert model is not None
     assert model.to_box() == box
 
@@ -135,7 +140,7 @@ def test_results_are_frozen():
 
 class TestRealism:
     def test_marginal_checks_the_party_count(self):
-        dist = realism_distribution(is_local(make_even_parity(2)))
+        dist = realism_distribution(decide_locality(make_even_parity(2)).model)
         with pytest.raises(ValueError, match="input has 3 bits, n says 2"):
             realism_marginal(dist, 2, (0, 0, 0))
         with pytest.raises(ValueError, match=r"has 4 bits, expected 6"):
@@ -152,7 +157,7 @@ class TestRealism:
     def test_even_parity_marginals_reproduce_box(self):
         for n in (2, 3):
             box = make_even_parity(n)
-            model = is_local(box)
+            model = decide_locality(box).model
             dist = realism_distribution(model)
             assert sum(dist.values()) == 1
             for x in bit_tuples(n):
@@ -204,3 +209,147 @@ def test_values_copy_the_mapping_given():
     assert certificate.verify(make_npr(2))
     assert certificate == NonlocalityCertificate(dict(certificate.row_duals))
     assert hash(certificate) == hash(NonlocalityCertificate(dict(certificate.row_duals)))
+
+
+# The tuple walk over (x, a) keys that the flat strategy-index table
+# replaced, kept as a reference for the differential tests below.
+
+
+def reference_lp_input(box):
+    """(strategies, columns, b) of the locality LP, built by the tuple walk."""
+    entries = box.entries
+    row_keys = [key for key, v in entries.items() if v != 0]
+    row = {key: i for i, key in enumerate(row_keys)}
+    surviving, columns = [], []
+    for s in strategies(box.n):
+        hits = [row.get(key) for key in strategy_keys(s)]
+        if None not in hits:
+            surviving.append(s)
+            columns.append(hits + [len(row_keys)])
+    return surviving, columns, [entries[key] for key in row_keys] + [ONE]
+
+
+def reference_decide_locality(box):
+    surviving, columns, b = reference_lp_input(box)
+    result = lp.solve_equality_feasibility(columns, b)
+    if result.feasible:
+        weights = {s: w for s, w in zip(surviving, result.solution) if w != 0}
+        return LocalityResult(model=LocalModel(weights), certificate=None)
+    row_keys = [key for key, v in box.entries.items() if v != 0]
+    *y, y_norm = result.certificate
+    duals = {key: v for key, v in zip(row_keys, y) if v != 0}
+    duals[NORM] = y_norm
+    outputs = list(bit_tuples(box.n))
+    bound = y_norm + sum(max(duals.get((x, a), ZERO) for a in outputs) for x in outputs)
+    penalty = -(max(ZERO, bound) + ONE)
+    duals.update((key, penalty) for key, v in box.entries.items() if v == 0)
+    return LocalityResult(model=None, certificate=NonlocalityCertificate(duals))
+
+
+def separates_the_box(certificate, box):
+    """y.b > 0, in Fractions."""
+    duals = certificate.row_duals
+    return sum((y if key == NORM else y * box.entries[key] for key, y in duals.items()), ZERO) > 0
+
+
+def reference_verify(certificate, box):
+    """y.b > 0 and no strategy scoring above 0, in Fractions, key by key."""
+    duals = certificate.row_duals
+    norm = duals.get(NORM, ZERO)
+    return separates_the_box(certificate, box) and all(
+        norm + sum(duals.get(key, ZERO) for key in strategy_keys(s)) <= 0
+        for s in strategies(box.n)
+    )
+
+
+def random_strategy(rng, n):
+    return tuple((rng.randrange(2), rng.randrange(2)) for _ in range(n))
+
+
+def seeded_boxes(seed, n, count):
+    """Local mixtures, PR mixtures and weak PR copies, zero entries included."""
+    rng = random.Random(seed)
+    boxes = [make_even_parity(n), make_npr(n)]
+    while len(boxes) < count:
+        parts = [deterministic_box(n, random_strategy(rng, n)) for _ in range(rng.randrange(1, 4))]
+        if rng.random() < 0.5:
+            parts.append(make_correlated(n, F(rng.randrange(1, 5), 4)))
+        weights = [F(rng.randrange(1, 6)) for _ in parts]
+        boxes.append(mix(parts, [w / sum(weights) for w in weights]))
+    return boxes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_strategy_indices_match_the_tuple_walk(n):
+    flat = {key: i for i, key in enumerate(make_even_parity(n).entries)}
+    assert _strategy_indices(n) == tuple(
+        tuple(flat[key] for key in strategy_keys(s)) for s in strategies(n)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_decide_locality_matches_the_tuple_walk(n, monkeypatch):
+    sent = []
+
+    def recording_solver(columns, b):
+        sent.append((columns, b))
+        return solve(columns, b)
+
+    solve = lp.solve_equality_feasibility
+    monkeypatch.setattr(lp, "solve_equality_feasibility", recording_solver)
+    verdicts = set()
+    for box in seeded_boxes(n, n, 8 if n < 4 else 5):
+        expected = reference_decide_locality(box)
+        got = decide_locality(box)
+        assert sent[-1] == sent[-2]  # the LP got the same (columns, b)
+        assert got == expected
+        verdicts.add(got.local)
+    assert verdicts == ({True} if n == 1 else {True, False})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verify_matches_the_tuple_walk(n):
+    rng = random.Random(100 + n)
+    outcomes = []
+    for box in seeded_boxes(n, n, 6):
+        result = decide_locality(box)
+        base = dict(result.certificate.row_duals) if result.certificate else {NORM: F(-1)}
+        for _ in range(6):
+            duals = {}
+            for key in list(box.entries) + [NORM]:
+                roll = rng.random()
+                if roll < 0.2:
+                    continue  # an absent key counts as 0
+                y = base.get(key, ZERO)
+                if roll < 0.5:
+                    y += F(rng.randrange(-3, 4), rng.randrange(1, 7))
+                duals[key] = y
+            certificate = NonlocalityCertificate(duals)
+            expected = reference_verify(certificate, box)
+            assert certificate.verify(box) == expected
+            outcomes.append((separates_the_box(certificate, box), expected))
+        if result.certificate:
+            # The certificate as decided, and without its normalization dual.
+            assert result.certificate.verify(box) and reference_verify(result.certificate, box)
+            without_norm = NonlocalityCertificate(
+                {key: y for key, y in base.items() if key != NORM}
+            )
+            assert without_norm.verify(box) == reference_verify(without_norm, box)
+    # Some duals fail y.b > 0, some fail on a strategy's score, some verify.
+    assert (False, False) in outcomes and (True, False) in outcomes
+    if n > 1:
+        assert (True, True) in outcomes
+
+
+def test_verify_rejects_foreign_rows_other_party_counts_floats_and_sizes():
+    box = make_npr(2)
+    certificate = dict(decide_locality(box).certificate.row_duals)
+    with pytest.raises(ValueError, match=re.escape("certificate row ('bogus',) is not an entry")):
+        NonlocalityCertificate({**certificate, ("bogus",): F(-1)}).verify(box)
+    with pytest.raises(ValueError, match="certificate is for 3 parties, box has 2"):
+        NonlocalityCertificate({**certificate, ((0, 0, 0), (0, 0, 0)): F(-1)}).verify(box)
+    with pytest.raises(TypeError, match="float certificate dual"):
+        NonlocalityCertificate({**certificate, ((1, 1), (0, 1)): -0.5}).verify(box)
+    limit = MAX_EXHAUSTIVE_PARTIES
+    with pytest.raises(ValueError, match=f"certificate check supports up to {limit} parties"):
+        NonlocalityCertificate({NORM: F(1)}).verify(make_npr(limit + 1))
