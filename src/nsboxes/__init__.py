@@ -18,7 +18,6 @@ from .boxes import (
     make_even_parity,
     make_full_correlation,
     make_npr,
-    marginal,
     mix,
     xor_boxes,
     xor_star,
@@ -27,11 +26,9 @@ from .boxfile import BoxFileError, box_from_text, box_to_text, load_box, save_bo
 from .commcost import (
     AmplificationPlan,
     CommGraph,
-    Decomposition,
     NotAmplifiableError,
     SupportConditionError,
     amplifiable,
-    decompose,
     n_distill_bound,
     n_scratch,
     plan,
@@ -61,7 +58,6 @@ from .locality import (
 from .wiring import (
     Wiring,
     bs_wiring,
-    compose_triangle,
     evaluate_wiring,
     identity_wiring,
     make_wiring,

@@ -237,26 +237,6 @@ def xor_star(functions: list, eps: Fraction) -> BoxTable:
     return _parity_box(n, lambda x: eps * parity(f.evaluate(x) for f in functions))
 
 
-def marginal(p: BoxTable, parties: Iterable[int]) -> dict:
-    """Output marginal over a party subset, for each full input x.
-
-    `parties` holds 1-based party indices.  Returns a map from
-    (x, a_sub) to probability, where a_sub lists the subset's outputs in
-    increasing party order.
-    """
-    subset = sorted(set(parties))
-    if not subset:
-        raise ValueError("marginal requires a nonempty party subset")
-    if subset[0] < 1 or subset[-1] > p.n:
-        raise ValueError(f"party indices must lie in 1..{p.n}")
-    idx = [i - 1 for i in subset]
-    out: dict = {}
-    for (x, a), v in p.entries.items():
-        key = (x, tuple(a[i] for i in idx))
-        out[key] = out.get(key, ZERO) + v
-    return out
-
-
 @dataclass(frozen=True)
 class SignalingCheck:
     """Result of a non-signaling test; falsy when a violation was found.

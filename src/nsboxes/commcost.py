@@ -6,9 +6,8 @@ of each block of its degree->=2 monomials.  When the blocks merge into a
 single one, a weak copy of the box can instead be boosted toward the
 perfect box while only the parties outside one designated monomial forward
 their data, which can undercut the from-scratch channel count.  This module
-computes both counts, builds witness graphs, decomposes boxes into
-monomial-sized sub-boxes, and verifies the boosting pipeline end to end by
-exact table computation.
+computes both counts, builds witness graphs, and verifies the boosting
+pipeline end to end by exact table computation.
 """
 
 from __future__ import annotations
@@ -105,68 +104,18 @@ def scratch_graph(f: AnfFunction) -> CommGraph:
 
 
 def verify_path_condition(g: CommGraph, support: NonlocalSupport) -> bool:
-    """Every block owns a vertex reachable from all of the block's vertices."""
-    for block in support.blocks:
-        vertices = sorted(frozenset().union(*block))
-        if not any(
-            all(w == v or g.has_path(w, v) for w in vertices) for v in vertices
-        ):
-            return False
-    return True
+    """Whether the channels of g suffice to simulate the support's box.
 
-
-@dataclass(frozen=True)
-class BoxPart:
-    """One monomial-sized sub-box: wired variables plus constant-fed parties."""
-
-    variables: frozenset[int]
-    constant_parties: frozenset[int]
-
-    def function(self, n: int) -> AnfFunction:
-        return monomial_function(n, self.variables)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Sub-boxes XORing to the original function plus its local residue."""
-
-    n: int
-    parts: tuple[BoxPart, ...]
-    residual: AnfFunction
-
-    def xor_of_parts(self) -> AnfFunction:
-        combined = AnfFunction(self.n, frozenset())
-        for part in self.parts:
-            combined = combined ^ part.function(self.n)
-        return combined
-
-
-def _single_block_support(f: AnfFunction, what: str) -> NonlocalSupport:
-    """The nonlocal support of f, which `what` requires to be one block."""
-    support = nonlocal_support(f)
-    if support.n_j != 1:
-        raise SupportConditionError(
-            f"{what} requires a single block, found {support.n_j}"
-        )
-    return support
-
-
-def decompose(f: AnfFunction) -> Decomposition:
-    """Split a single-block function into monomial sub-boxes plus residue.
-
-    Monomials are processed largest first, each absorbed exactly onto its
-    own variables by pairing it with the next overlapping unprocessed one;
-    parties carried by no monomial remain as constant-input members of the
-    last sub-box, so at most one part feeds constants.
+    Party v can learn the inputs of anc(v): v and every vertex with a path
+    to v.  The rule is exact: the perfect box can be simulated over g iff
+    every degree->=2 monomial lies inside some anc(v).  One such party
+    outputs each monomial, shared randomness fixes the output parity, and
+    since the ANF is unique no monomial can be split across parties.
     """
-    support = _single_block_support(f, "decomposition")
-    order = sorted(support.j_set, key=lambda m: (-len(m), sorted(m)))
-    outside = frozenset(range(1, f.n + 1)) - support.union
-    parts = []
-    for pos, mono in enumerate(order):
-        constants = outside if pos == len(order) - 1 else frozenset()
-        parts.append(BoxPart(variables=mono, constant_parties=constants))
-    return Decomposition(n=f.n, parts=tuple(parts), residual=local_part(f))
+    return all(
+        any(all(u == v or g.has_path(u, v) for u in m) for v in range(1, g.n + 1))
+        for m in support.j_set
+    )
 
 
 def _boost_bound(n: int, support: NonlocalSupport) -> int:
@@ -178,7 +127,12 @@ def n_distill_bound(f: AnfFunction) -> int:
 
     Equals n - 1 - max m_I, or 0 when the best monomial covers all parties.
     """
-    return _boost_bound(f.n, _single_block_support(f, "the boosting bound"))
+    support = nonlocal_support(f)
+    if support.n_j != 1:
+        raise SupportConditionError(
+            f"the boosting bound requires a single block, found {support.n_j}"
+        )
+    return _boost_bound(f.n, support)
 
 
 @dataclass(frozen=True)
@@ -317,13 +271,14 @@ def verify_plan_end_to_end(
 ) -> bool:
     """Exactly simulate the boosting pipeline and check its output table.
 
-    The weak box is assembled from the decomposition through the
-    correlated-error XOR, cut down to the isolated monomial's parties by
-    zero-pinning and forwarding along the plan's subset graph, boosted for
-    `steps` rounds through the actual wiring engine, and re-assembled
-    through the correlated-error XOR at the boosted weight.  True iff every
-    stage lands exactly on its predicted table and the final table equals
-    eps_m * (perfect box) + (1 - eps_m) * (local residue box).
+    The weak box is assembled from the full-correlation boxes of f's
+    degree->=2 monomials through the correlated-error XOR, then XORed with
+    the box of its local part.  It is cut down to the isolated monomial's
+    parties by zero-pinning and forwarding along the plan's subset graph,
+    boosted for `steps` rounds through the actual wiring engine, and
+    re-assembled through the correlated-error XOR at the boosted weight.
+    True iff every stage lands exactly on its predicted table and the final
+    table equals eps_m * (perfect box) + (1 - eps_m) * (local residue box).
     """
     eps = check_positive_weight(eps)
     if steps < 0:
@@ -333,10 +288,9 @@ def verify_plan_end_to_end(
     check_exhaustive_party_count(f.n, "end-to-end verification")
     isolated = the_plan.isolated
     k = len(isolated)
-    decomp = decompose(f)
-    residual_box = make_full_correlation(decomp.residual)
+    residual_box = make_full_correlation(local_part(f))
     perfect_box = make_full_correlation(f)
-    part_functions = [part.function(f.n) for part in decomp.parts]
+    part_functions = [monomial_function(f.n, m) for m in f.monomials if len(m) >= 2]
 
     # Forwarding must be available: every outside party reaches the receiver.
     for party in range(1, f.n + 1):

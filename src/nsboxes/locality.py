@@ -9,10 +9,11 @@ against every strategy column.
 
 Both passes over the 4^n strategies read one integer view of a box: the flat
 entry index `(x << n) | a`, the order in which `BoxTable.entries` holds its
-entries.  `_strategy_indices(n)` lists, per strategy, the flat indices it
-hits, one per input.  The LP pass maps them through a flat row list; the
-certificate check sums a flat integer list of duals, scaled to their common
-denominator, along them.
+entries.  `_hits(s)` lists the flat indices strategy s hits, one per input,
+and `_strategy_indices(n)` caches them for every strategy.  The LP pass maps
+them through a flat row list; the certificate check sums a flat integer list
+of duals, scaled to their common denominator, along them; `LocalModel.to_box`
+sums its weights along them, keyed by flat index.
 
 The simplex sees only the nonzero rows.  Its certificate y is extended over
 the zero rows without scoring a strategy: none scores above `bound = y_norm +
@@ -25,10 +26,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem
 from types import MappingProxyType
 
 from . import lp
@@ -38,41 +38,32 @@ NORM = ("norm",)
 
 # A strategy assigns each party a response pair (output on input 0, on 1).
 Strategy = tuple[tuple[int, int], ...]
+_RESPONSES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def strategies(n: int) -> list[Strategy]:
     """All 4^n deterministic strategy tuples, in a fixed order."""
-    per_party = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    return list(itertools.product(per_party, repeat=n))
+    return list(itertools.product(_RESPONSES, repeat=n))
+
+
+def _hits(s: Strategy) -> tuple[int, ...]:
+    """The flat indices `(x << n) | a` that strategy s hits, one per input x.
+
+    a is s's outputs on input x.  The indices are sums of per-party
+    contributions, one party at a time, in `bit_tuples` order of x.
+    """
+    n = len(s)
+    hits = [0]
+    for i, (r0, r1) in enumerate(s):
+        x_bit, a_bit = 1 << (2 * n - 1 - i), 1 << (n - 1 - i)
+        hits = [h + c for h in hits for c in (r0 * a_bit, x_bit | r1 * a_bit)]
+    return tuple(hits)
 
 
 @functools.lru_cache(maxsize=None)
 def _strategy_indices(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per strategy, in `strategies(n)` order, the flat indices it hits.
-
-    Entry x of a strategy's tuple is `(x << n) | a` with a its outputs on
-    input x.  The tuples are sums of per-party contributions, one party at a
-    time; callers keep n within `MAX_EXHAUSTIVE_PARTIES`.
-    """
-    table = [(0,)]
-    for i in range(n):
-        x_bit, a_bit = 1 << (2 * n - 1 - i), 1 << (n - 1 - i)
-        # A response pair contributes (index on input 0, index on input 1).
-        pairs = [(r0 * a_bit, x_bit | r1 * a_bit) for r0, r1 in ((0, 0), (0, 1), (1, 0), (1, 1))]
-        table = [tuple(v + c for v in hits for c in pair) for hits in table for pair in pairs]
-    return tuple(table)
-
-
-def strategy_keys(s: Strategy) -> Iterator[tuple[Bits, Bits]]:
-    """The entries (x, a) strategy s produces, one per input x in order."""
-    return ((x, tuple(map(getitem, s, x))) for x in bit_tuples(len(s)))
-
-
-def deterministic_box(n: int, s: Strategy) -> BoxTable:
-    """The box of strategy s; n must equal len(s)."""
-    if n != len(s):
-        raise ValueError(f"strategy has {len(s)} parties, n says {n}")
-    return LocalModel({s: ONE}).to_box()
+    """`_hits` of each strategy in `strategies(n)`; n is at most `MAX_EXHAUSTIVE_PARTIES`."""
+    return tuple(map(_hits, strategies(n)))
 
 
 @dataclass(frozen=True)
@@ -87,6 +78,15 @@ class LocalModel:
     def __post_init__(self):
         if not self.weights:
             raise ValueError("a local model needs at least one strategy")
+        first = next(iter(self.weights))
+        for s in self.weights:
+            if not (
+                isinstance(s, tuple)
+                and all(r in _RESPONSES and all(isinstance(b, int) for b in r) for r in s)
+            ):
+                raise ValueError(f"strategy {s!r} is not a tuple of (bit, bit) response pairs")
+            if len(s) != len(first):
+                raise ValueError(f"strategy {s!r} has {len(s)} parties, {first!r} has {len(first)}")
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
 
     def __hash__(self) -> int:
@@ -94,15 +94,16 @@ class LocalModel:
 
     @property
     def n(self) -> int:
-        some = next(iter(self.weights))
-        return len(some)
+        return len(next(iter(self.weights)))
 
     def to_box(self) -> BoxTable:
-        entries: dict = {}
+        n = self.n
+        sums: dict[int, Fraction] = {}
         for s, w in self.weights.items():
-            for key in strategy_keys(s):
-                entries[key] = entries.get(key, ZERO) + w
-        return BoxTable(self.n, entries)
+            for i in _hits(s):
+                sums[i] = sums.get(i, ZERO) + w
+        bits = list(bit_tuples(n))
+        return BoxTable(n, {(bits[i >> n], bits[i % len(bits)]): p for i, p in sums.items()})
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .boxes import ZERO, _exact
 
@@ -31,11 +30,6 @@ class FeasibilityResult:
     solution: tuple | None = None      # weight per column when feasible
     certificate: tuple | None = None   # y per row otherwise
     pivots: int = 0                    # simplex pivots taken
-
-
-def _check_length(values, expected: int, what: str) -> None:
-    if len(values) != expected:
-        raise ValueError(f"{what} length mismatch: {len(values)} entries, expected {expected}")
 
 
 def _check_columns(columns, m: int) -> None:
@@ -123,21 +117,3 @@ def solve_equality_feasibility(columns: list[list[int]], b: list[Fraction]) -> F
     y = tuple(Fraction(obj[n + i] + det, det) for i in range(m))
     return FeasibilityResult(feasible=False, certificate=y, pivots=pivots)
 
-
-def verify_feasible(columns, b, solution) -> bool:
-    """Exact check that solution >= 0 and A @ solution == b."""
-    _check_columns(columns, len(b))
-    _check_length(solution, len(columns), "solution")
-    total = [ZERO] * len(b)
-    for rows, w in zip(columns, solution):
-        for i in rows:
-            total[i] += w
-    return all(w >= 0 for w in solution) and total == list(b)
-
-
-def verify_certificate(columns, b, y) -> bool:
-    """Exact check that y.b > 0 while y.A_j <= 0 for every column."""
-    _check_columns(columns, len(b))
-    _check_length(y, len(b), "certificate")
-    dot_b = sum(map(mul, y, b), ZERO)
-    return dot_b > 0 and all(sum((y[i] for i in rows), ZERO) <= 0 for rows in columns)

@@ -205,13 +205,6 @@ def named_wiring(name: str, n: int) -> Wiring:
     return builder(n)
 
 
-def compose_triangle(a: BoxTable, b: BoxTable) -> BoxTable:
-    """Apply the boosting wiring to the box pair (a first, b second)."""
-    if a.n != b.n:
-        raise ValueError("composed boxes must share the party count")
-    return evaluate_wiring([a, b], bs_wiring(a.n))
-
-
 def _table_text(table: Table, label: str, length: int) -> str:
     """One table's cells; a history prints step 1's output first, "-" if empty."""
     cells = []

@@ -33,12 +33,12 @@ from nsboxes.distill import (
     t_map,
 )
 from nsboxes.locality import (
+    LocalModel,
     decide_locality,
-    deterministic_box,
     realism_distribution,
     realism_marginal,
 )
-from nsboxes.wiring import bs_wiring, compose_triangle, evaluate_wiring
+from nsboxes.wiring import bs_wiring, evaluate_wiring
 
 
 def _run(num, description, body):
@@ -69,10 +69,11 @@ def test_criterion_02_composition_relations():
             pr = make_npr(n)
             even = make_even_parity(n)
             weight = F(1, 2 ** (n - 1))
-            assert compose_triangle(pr, pr) == pr
-            assert compose_triangle(pr, even) == pr
-            assert compose_triangle(even, pr) == make_correlated(n, weight)
-            assert compose_triangle(even, even) == even
+            bs = bs_wiring(n)
+            assert evaluate_wiring([pr, pr], bs) == pr
+            assert evaluate_wiring([pr, even], bs) == pr
+            assert evaluate_wiring([even, pr], bs) == make_correlated(n, weight)
+            assert evaluate_wiring([even, even], bs) == even
 
     _run(2, "the four composition identities hold exactly for n = 2..5", body)
 
@@ -178,12 +179,12 @@ def test_criterion_08_xor_of_full_correlation_boxes():
 def test_criterion_09_realism_certificates():
     def body():
         suite = [make_even_parity(n) for n in (2, 3, 4)]
-        suite.append(deterministic_box(2, ((0, 1), (1, 0))))
+        suite.append(LocalModel({((0, 1), (1, 0)): F(1)}).to_box())
         suite.append(
             mix(
                 [
-                    deterministic_box(2, ((0, 0), (1, 1))),
-                    deterministic_box(2, ((1, 1), (0, 0))),
+                    LocalModel({((0, 0), (1, 1)): F(1)}).to_box(),
+                    LocalModel({((1, 1), (0, 0)): F(1)}).to_box(),
                 ],
                 [F(1, 3), F(2, 3)],
             )

@@ -16,7 +16,6 @@ from nsboxes.boxes import (
     make_even_parity,
     make_full_correlation,
     make_npr,
-    marginal,
     mix,
     xor_boxes,
     xor_star,
@@ -233,6 +232,26 @@ def test_xor_star_is_not_xor_of_independent_mixtures():
     assert correlated_err == make_even_parity(2)
     assert independent == make_correlated(2, 2 * eps * (1 - eps))
     assert correlated_err != independent
+
+
+def marginal(p, parties):
+    """Output marginal over a party subset, for each full input x.
+
+    `parties` holds 1-based party indices.  Returns a map from (x, a_sub) to
+    probability, where a_sub lists the subset's outputs in increasing party
+    order.  The subset-marginal oracle for `is_non_signaling` below.
+    """
+    subset = sorted(set(parties))
+    if not subset:
+        raise ValueError("marginal requires a nonempty party subset")
+    if subset[0] < 1 or subset[-1] > p.n:
+        raise ValueError(f"party indices must lie in 1..{p.n}")
+    idx = [i - 1 for i in subset]
+    out = {}
+    for (x, a), v in p.entries.items():
+        key = (x, tuple(a[i] for i in idx))
+        out[key] = out.get(key, F(0)) + v
+    return out
 
 
 def test_marginal_full_subset_is_identity():

@@ -1,16 +1,16 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from nsboxes.boolfn import anf, nonlocal_support, parse_expr
+from nsboxes.boolfn import anf, local_part, monomial_function, nonlocal_support, parse_expr
 from nsboxes.boxes import MAX_EXHAUSTIVE_PARTIES, bit_tuples
 from nsboxes.commcost import (
     CommGraph,
     NotAmplifiableError,
     SupportConditionError,
     amplifiable,
-    decompose,
     n_distill_bound,
     n_scratch,
     plan,
@@ -110,6 +110,16 @@ class TestScratchGraph:
             assert verify_path_condition(scratch_graph(f), nonlocal_support(f))
 
 
+def block_rule(g, support):
+    """The stricter rule the exact one replaced: every block owns a vertex
+    reachable from all of the block's vertices."""
+    for block in support.blocks:
+        vertices = sorted(frozenset().union(*block))
+        if not any(all(w == v or g.has_path(w, v) for w in vertices) for v in vertices):
+            return False
+    return True
+
+
 class TestPathCondition:
     def test_missing_edge_breaks_the_chain(self, four_party):
         g = CommGraph(n=4, edges=frozenset({(4, 3), (3, 2)}))
@@ -122,44 +132,69 @@ class TestPathCondition:
         )
         assert verify_path_condition(g, nonlocal_support(six_party))
 
+    def test_chain_needs_no_common_sink(self):
+        # party 1 outputs x1*x2 + r1, party 2 r1 + r2, party 3 x2*x3 + r2
+        support = nonlocal_support(parse_expr("x1*x2 + x2*x3", 3))
+        g = CommGraph(n=3, edges=frozenset({(2, 1), (2, 3)}))
+        assert verify_path_condition(g, support)
+        assert not block_rule(g, support)
+
+    def test_fewest_passing_edges_equal_n_scratch_at_three_parties(self):
+        # every set of degree->=2 monomials on 3 variables, every digraph
+        monomials = [frozenset(m) for m in ({1, 2}, {1, 3}, {2, 3}, {1, 2, 3})]
+        pairs = list(itertools.permutations(range(1, 4), 2))
+        graphs = [
+            CommGraph(3, [e for bit, e in enumerate(pairs) if mask >> bit & 1])
+            for mask in range(2 ** len(pairs))
+        ]
+        supports = widened = 0
+        for mask in range(1, 2 ** len(monomials)):
+            f = anf(3, [m for bit, m in enumerate(monomials) if mask >> bit & 1])
+            support = nonlocal_support(f)
+            passing = [g for g in graphs if verify_path_condition(g, support)]
+            assert min(len(g.edges) for g in passing) == n_scratch(f), f.to_text()
+            assert all(g in passing for g in graphs if block_rule(g, support))
+            widened += sum(not block_rule(g, support) for g in passing)
+            supports += 1
+        assert supports == 15
+        assert widened == 6
+
 
 class TestDecompose:
+    """f is the XOR of its degree->=2 monomial functions and its local part:
+    the stages `verify_plan_end_to_end` assembles."""
+
+    @staticmethod
+    def split(f):
+        return [monomial_function(f.n, m) for m in f.monomials if len(m) >= 2], local_part(f)
+
+    @staticmethod
+    def assert_xor_identity(f, parts, residual):
+        combined = residual
+        for part in parts:
+            combined = combined ^ part
+        for x in bit_tuples(f.n):
+            assert combined.evaluate(x) == f.evaluate(x)
+
     def test_four_party_example(self, four_party):
-        dec = decompose(four_party)
-        assert [sorted(p.variables) for p in dec.parts] == [[1, 2, 3], [3, 4]]
-        assert all(p.constant_parties == frozenset() for p in dec.parts)
-        assert dec.residual.monomials == frozenset({frozenset({1})})
+        parts, residual = self.split(four_party)
+        assert sorted(sorted(m) for p in parts for m in p.monomials) == [[1, 2, 3], [3, 4]]
+        assert residual.monomials == frozenset({frozenset({1})})
+        self.assert_xor_identity(four_party, parts, residual)
 
     def test_single_monomial_two_parties(self):
-        dec = decompose(parse_expr("x1*x2", 2))
-        assert len(dec.parts) == 1
-        assert dec.parts[0].constant_parties == frozenset()
-        assert dec.residual.monomials == frozenset()
+        parts, residual = self.split(parse_expr("x1*x2", 2))
+        assert len(parts) == 1
+        assert residual.monomials == frozenset()
 
     def test_chain_shares_middle_variable(self):
         f = parse_expr("x1*x2 + x2*x3", 3)
-        dec = decompose(f)
-        assert {frozenset(p.variables) for p in dec.parts} == {
+        parts, residual = self.split(f)
+        assert {m for p in parts for m in p.monomials} == {
             frozenset({1, 2}),
             frozenset({2, 3}),
         }
-        combined = dec.xor_of_parts() ^ dec.residual
-        for x in bit_tuples(3):
-            assert combined.evaluate(x) == f.evaluate(x)
-
-    def test_party_outside_every_monomial_feeds_constants(self):
-        dec = decompose(parse_expr("x1*x2", 3))
-        assert dec.parts[0].constant_parties == frozenset({3})
-
-    def test_at_most_one_part_with_constants(self):
-        for text, n in [
-            ("x1*x2*x3 + x3*x4 + x1", 4),
-            ("x1*x2 + x2*x3", 5),
-            ("x1*x2*x3 + x1*x2", 3),
-        ]:
-            dec = decompose(parse_expr(text, n))
-            with_constants = [p for p in dec.parts if p.constant_parties]
-            assert len(with_constants) <= 1
+        self.assert_xor_identity(f, parts, residual)
 
     def test_xor_identity_exhaustive(self):
         rng = random.Random(7)
@@ -174,16 +209,7 @@ class TestDecompose:
             if nonlocal_support(f).n_j != 1:
                 continue
             built += 1
-            dec = decompose(f)
-            combined = dec.xor_of_parts() ^ dec.residual
-            for x in bit_tuples(6):
-                assert combined.evaluate(x) == f.evaluate(x)
-
-    def test_requires_single_block(self, six_party):
-        with pytest.raises(SupportConditionError):
-            decompose(six_party)
-        with pytest.raises(SupportConditionError):
-            decompose(parse_expr("x1", 2))
+            self.assert_xor_identity(f, *self.split(f))
 
 
 class TestDistillBound:

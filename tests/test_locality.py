@@ -2,14 +2,17 @@ import random
 import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
+from operator import getitem
 
 import pytest
 
 from nsboxes import lp
 from nsboxes.boxes import (
     MAX_EXHAUSTIVE_PARTIES,
+    MAX_PARTIES,
     ONE,
     ZERO,
+    BoxTable,
     bit_tuples,
     make_correlated,
     make_even_parity,
@@ -21,14 +24,22 @@ from nsboxes.locality import (
     LocalityResult,
     LocalModel,
     NonlocalityCertificate,
+    _hits,
     _strategy_indices,
     decide_locality,
-    deterministic_box,
     realism_distribution,
     realism_marginal,
     strategies,
-    strategy_keys,
 )
+
+
+def strategy_keys(s):
+    """The entries (x, a) strategy s produces, one per input x in order."""
+    return [(x, tuple(map(getitem, s, x))) for x in bit_tuples(len(s))]
+
+
+def deterministic_box(s):
+    return LocalModel({s: ONE}).to_box()
 
 
 def chsh_value(box):
@@ -46,12 +57,16 @@ def test_strategy_enumeration():
     assert len(strategies(2)) == 16
     assert len(set(strategies(3))) == 64
     s = ((0, 1), (1, 1))
-    assert list(strategy_keys(s)) == [
+    keys = [
         ((0, 0), (0, 1)),
         ((0, 1), (0, 1)),
         ((1, 0), (1, 1)),
         ((1, 1), (1, 1)),
     ]
+    assert strategy_keys(s) == keys
+    assert _hits(s) == (0b0001, 0b0101, 0b1011, 0b1111)
+    flat = list(make_even_parity(2).entries)
+    assert [flat[i] for i in _hits(s)] == keys
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -89,12 +104,12 @@ def test_npr2_chsh_value_is_algebraic_maximum():
 
 def test_deterministic_box_is_local():
     s = ((0, 1), (1, 0), (1, 1))
-    box = deterministic_box(3, s)
+    box = deterministic_box(s)
     model = decide_locality(box).model
     assert model is not None
     assert model.to_box() == box
-    with pytest.raises(ValueError, match="n says 3"):
-        deterministic_box(3, ((0, 1), (1, 1)))
+    with pytest.raises(ValueError, match=re.escape("((0, 1), (1, 1)) has 2 parties")):
+        LocalModel({s: ONE, ((0, 1), (1, 1)): ZERO})
 
 
 def test_empty_local_model_rejected():
@@ -102,10 +117,48 @@ def test_empty_local_model_rejected():
         LocalModel({})
 
 
+@pytest.mark.parametrize("weights, bad", [
+    ({((0, 1),): ONE, ((0, 1), (1, 1)): ZERO}, "strategy ((0, 1), (1, 1)) has 2 parties"),
+    ({((0, 1), (1, 1)): ONE, ((0, 1),): ZERO}, "strategy ((0, 1),) has 1 parties"),
+    ({((0, 2),): ONE}, "strategy ((0, 2),) is not a tuple of (bit, bit) response pairs"),
+    ({((0, 1.0),): ONE}, "strategy ((0, 1.0),) is not a tuple of (bit, bit) response pairs"),
+], ids=["extra-party", "missing-party", "bit-out-of-range", "float-bit"])
+def test_local_model_rejects_malformed_strategies(weights, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        LocalModel(weights)
+
+
+def reference_to_box(model):
+    """The box of a local model, summed key by key along the tuple walk."""
+    entries = {}
+    for s, w in model.weights.items():
+        for key in strategy_keys(s):
+            entries[key] = entries.get(key, ZERO) + w
+    return BoxTable(model.n, entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_to_box_matches_the_tuple_walk(n):
+    rng = random.Random(200 + n)
+    for _ in range(6):
+        weights = {random_strategy(rng, n): F(rng.randrange(1, 6)) for _ in range(rng.randrange(1, 7))}
+        total = sum(weights.values())
+        model = LocalModel({s: w / total for s, w in weights.items()})
+        assert model.to_box() == reference_to_box(model)
+
+
+@pytest.mark.parametrize("n", [MAX_EXHAUSTIVE_PARTIES + 1, MAX_PARTIES])
+def test_to_box_builds_past_the_strategy_table_cap(n):
+    s = random_strategy(random.Random(n), n)
+    box = deterministic_box(s)
+    assert {key for key, v in box.entries.items() if v} == set(strategy_keys(s))
+    assert all(v in (ZERO, ONE) for v in box.entries.values())
+
+
 def test_mixture_of_deterministic_boxes_is_local():
     s1 = ((0, 0), (1, 1))
     s2 = ((0, 1), (0, 1))
-    box = mix([deterministic_box(2, s1), deterministic_box(2, s2)], [F(1, 3), F(2, 3)])
+    box = mix([deterministic_box(s1), deterministic_box(s2)], [F(1, 3), F(2, 3)])
     model = decide_locality(box).model
     assert model is not None
     assert model.to_box() == box
@@ -271,7 +324,7 @@ def seeded_boxes(seed, n, count):
     rng = random.Random(seed)
     boxes = [make_even_parity(n), make_npr(n)]
     while len(boxes) < count:
-        parts = [deterministic_box(n, random_strategy(rng, n)) for _ in range(rng.randrange(1, 4))]
+        parts = [deterministic_box(random_strategy(rng, n)) for _ in range(rng.randrange(1, 4))]
         if rng.random() < 0.5:
             parts.append(make_correlated(n, F(rng.randrange(1, 5), 4)))
         weights = [F(rng.randrange(1, 6)) for _ in parts]

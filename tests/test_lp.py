@@ -14,12 +14,36 @@ from nsboxes.boxes import (
     make_npr,
     mix,
 )
-from nsboxes.lp import (
-    FeasibilityResult,
-    solve_equality_feasibility,
-    verify_certificate,
-    verify_feasible,
-)
+from nsboxes.lp import FeasibilityResult, solve_equality_feasibility
+
+
+# Independent checkers of the solver's answers, in Fractions.
+
+
+def check_system(columns, b, answer, expected, what):
+    m = len(b)
+    for rows in columns:
+        if not all(isinstance(i, int) and 0 <= i < m for i in rows) or len(set(rows)) != len(rows):
+            raise ValueError(f"a column must list distinct row indices in range({m}), got {rows!r}")
+    if len(answer) != expected:
+        raise ValueError(f"{what} length mismatch: {len(answer)} entries, expected {expected}")
+
+
+def verify_feasible(columns, b, solution):
+    """Exact check that solution >= 0 and A @ solution == b."""
+    check_system(columns, b, solution, len(columns), "solution")
+    total = [F(0)] * len(b)
+    for rows, w in zip(columns, solution):
+        for i in rows:
+            total[i] += w
+    return all(w >= 0 for w in solution) and total == list(b)
+
+
+def verify_certificate(columns, b, y):
+    """Exact check that y.b > 0 while y.A_j <= 0 for every column."""
+    check_system(columns, b, y, len(b), "certificate")
+    dot_b = sum((yi * bi for yi, bi in zip(y, b)), F(0))
+    return dot_b > 0 and all(sum((y[i] for i in rows), F(0)) <= 0 for rows in columns)
 
 
 def fraction_bland(columns, b):
@@ -231,9 +255,14 @@ def unreduced_system(box):
     rows = list(box.entries) + [locality.NORM]
     columns = []
     for s in locality.strategies(box.n):
-        produced = set(locality.strategy_keys(s)) | {locality.NORM}
+        produced = {(x, tuple(r[xi] for r, xi in zip(s, x))) for x in bit_tuples(box.n)}
+        produced.add(locality.NORM)
         columns.append([i for i, key in enumerate(rows) if key in produced])
     return rows, columns, [box.entries[key] for key in rows[:-1]] + [F(1)]
+
+
+def deterministic_box(s):
+    return locality.LocalModel({s: F(1)}).to_box()
 
 
 def seeded_boxes(rng):
@@ -247,7 +276,7 @@ def seeded_boxes(rng):
                   [eps / 2, eps / 2, 1 - eps])
         strats = [rng.choice(locality.strategies(n)) for _ in range(3)]
         w = F(rng.randint(1, 7), 8)
-        yield mix([make_npr(n)] + [locality.deterministic_box(n, s) for s in strats],
+        yield mix([make_npr(n)] + [deterministic_box(s) for s in strats],
                   [w] + [(1 - w) / 3] * 3)
 
 
@@ -265,7 +294,7 @@ def test_locality_systems_match_fraction_reference(monkeypatch):
     rng = random.Random(5)
     # PR plus one deterministic strategy: its duals are halves, so the
     # extension scores over a common denominator of 2.
-    boxes = [mix([make_npr(3), locality.deterministic_box(3, ((1, 1),) * 3)],
+    boxes = [mix([make_npr(3), deterministic_box(((1, 1),) * 3)],
                  [F(5, 6), F(1, 6)])]
     for _ in range(2):
         boxes += seeded_boxes(rng)

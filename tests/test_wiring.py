@@ -22,7 +22,6 @@ from nsboxes.distill import (
 from nsboxes.wiring import (
     Wiring,
     bs_wiring,
-    compose_triangle,
     evaluate_wiring,
     identity_wiring,
     make_wiring,
@@ -43,10 +42,11 @@ def test_triangle_relations(n):
     pr = make_npr(n)
     even = make_even_parity(n)
     weight = F(1, 2 ** (n - 1))
-    assert compose_triangle(pr, pr) == pr
-    assert compose_triangle(pr, even) == pr
-    assert compose_triangle(even, pr) == make_correlated(n, weight)
-    assert compose_triangle(even, even) == even
+    bs = bs_wiring(n)
+    assert evaluate_wiring([pr, pr], bs) == pr
+    assert evaluate_wiring([pr, even], bs) == pr
+    assert evaluate_wiring([even, pr], bs) == make_correlated(n, weight)
+    assert evaluate_wiring([even, even], bs) == even
 
 
 def test_boosting_two_weak_copies_matches_scalar_map():
