@@ -8,7 +8,7 @@ together with both channel counts.
 
 import itertools
 
-from nsboxes.boolfn import anf, nonlocal_support
+from nsboxes.boolfn import AnfFunction, nonlocal_support
 from nsboxes.commcost import amplifiable, n_scratch, plan
 
 
@@ -23,7 +23,7 @@ def main():
     print(f"{'function':<42} {'n_J':>3} {'scratch':>7} {'boost':>5}")
     for mask in range(2 ** len(all_monomials)):
         monos = [m for bit, m in enumerate(all_monomials) if mask >> bit & 1]
-        f = anf(3, monos)
+        f = AnfFunction(3, monos)
         support = nonlocal_support(f)
         if not support.j_set:
             continue

@@ -4,7 +4,6 @@ from .boolfn import (
     AnfFunction,
     ExprSyntaxError,
     NonlocalSupport,
-    anf,
     anf_from_truth_table,
     local_part,
     nonlocal_support,
@@ -27,9 +26,7 @@ from .commcost import (
     AmplificationPlan,
     CommGraph,
     NotAmplifiableError,
-    SupportConditionError,
     amplifiable,
-    n_distill_bound,
     n_scratch,
     plan,
     report_text,

@@ -33,17 +33,24 @@ class ExprSyntaxError(ValueError):
 class AnfFunction:
     """Boolean function as XOR of AND-monomials over variables 1..n.
 
-    Any iterable of index iterables is accepted as `monomials`; it is
-    stored as a frozenset of frozensets.
+    `n` is an int >= 0.  Any iterable of index iterables is accepted as
+    `monomials`; it is stored as a frozenset of frozensets, and every index
+    must be an int in 1..n.
     """
 
     n: int
     monomials: frozenset[Monomial]
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise TypeError(f"variable count {self.n!r} is not an int")
+        if self.n < 0:
+            raise ValueError(f"variable count {self.n} is negative")
         object.__setattr__(self, "monomials", frozenset(map(frozenset, self.monomials)))
         for mono in self.monomials:
             for i in mono:
+                if type(i) is not int:
+                    raise TypeError(f"variable index {i!r} is not an int")
                 if not 1 <= i <= self.n:
                     raise ValueError(f"variable index {i} outside 1..{self.n}")
 
@@ -73,11 +80,6 @@ class AnfFunction:
         for mono in sorted(self.monomials, key=lambda m: (len(m), sorted(m))):
             parts.append("1" if not mono else "*".join(f"x{i}" for i in sorted(mono)))
         return " + ".join(parts)
-
-
-def anf(n: int, monomials) -> AnfFunction:
-    """Build an AnfFunction from any iterable of index iterables."""
-    return AnfFunction(n, monomials)
 
 
 # A bare x is a token, so a non-ASCII digit after it is the character named.
@@ -225,9 +227,3 @@ def nonlocal_support(f: AnfFunction) -> NonlocalSupport:
 def local_part(f: AnfFunction) -> AnfFunction:
     """The XOR of f's monomials of degree at most one (constant included)."""
     return AnfFunction(f.n, [m for m in f.monomials if len(m) <= 1])
-
-
-def monomial_function(n: int, variables) -> AnfFunction:
-    """Single-monomial function: the AND of the given variables."""
-    return AnfFunction(n, [variables])
-

@@ -15,13 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boolfn import (
-    AnfFunction,
-    NonlocalSupport,
-    local_part,
-    monomial_function,
-    nonlocal_support,
-)
+from .boolfn import AnfFunction, NonlocalSupport, local_part, nonlocal_support
 from .boxes import (
     BoxTable,
     ZERO,
@@ -31,15 +25,12 @@ from .boxes import (
     make_correlated,
     make_full_correlation,
     mix,
+    parity,
     xor_boxes,
     xor_star,
 )
 from .distill import iterate
 from .wiring import bs_wiring, evaluate_wiring
-
-
-class SupportConditionError(ValueError):
-    """The nonlocal support does not meet an operation's block condition."""
 
 
 class NotAmplifiableError(ValueError):
@@ -50,7 +41,8 @@ class NotAmplifiableError(ValueError):
 class CommGraph:
     """Directed graph on party vertices; an edge is a one-way channel.
 
-    `edges` may be any iterable of pairs; it is stored as a frozenset.
+    `edges` may be any iterable of pairs of int vertices; it is stored as
+    a frozenset.
     """
 
     n: int
@@ -59,21 +51,24 @@ class CommGraph:
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(self.edges))
         for u, v in self.edges:
+            if type(u) is not int or type(v) is not int:
+                raise TypeError(f"edge ({u!r}, {v!r}) has a vertex that is not an int")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"edge ({u}, {v}) outside vertices 1..{self.n}")
 
-    def has_path(self, u: int, v: int) -> bool:
-        seen = {u}
-        frontier = [u]
+    def ancestors(self, v: int) -> frozenset[int]:
+        """anc(v): v and every vertex with a path to v, by one reverse search."""
+        seen = {v}
+        frontier = [v]
         while frontier:
             w = frontier.pop()
             for a, b in self.edges:
-                if a == w and b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-        return v in seen
+                if b == w and a not in seen:
+                    seen.add(a)
+                    frontier.append(a)
+        return frozenset(seen)
 
 
 def _chain(vertices: list[int]) -> set[tuple[int, int]]:
@@ -95,44 +90,29 @@ def scratch_graph(f: AnfFunction) -> CommGraph:
     Within each block the variables form one descending chain, so the
     block's smallest variable is a sink reachable from all others.
     """
-    support = nonlocal_support(f)
+    return _scratch_graph(f.n, nonlocal_support(f))
+
+
+def _scratch_graph(n: int, support: NonlocalSupport) -> CommGraph:
     edges: set[tuple[int, int]] = set()
     for block in support.blocks:
-        vertices = sorted(frozenset().union(*block), reverse=True)
-        edges |= _chain(vertices)
-    return CommGraph(n=f.n, edges=edges)
+        edges |= _chain(sorted(frozenset().union(*block), reverse=True))
+    return CommGraph(n=n, edges=edges)
 
 
 def verify_path_condition(g: CommGraph, support: NonlocalSupport) -> bool:
     """Whether the channels of g suffice to simulate the support's box.
 
-    Party v can learn the inputs of anc(v): v and every vertex with a path
-    to v.  The rule is exact: the perfect box can be simulated over g iff
-    every degree->=2 monomial lies inside some anc(v).  One such party
-    outputs each monomial, shared randomness fixes the output parity, and
-    since the ANF is unique no monomial can be split across parties.
+    Party v can learn the inputs of anc(v) = g.ancestors(v): v and every
+    vertex with a path to v.  The rule is exact: the perfect box can be
+    simulated over g iff every degree->=2 monomial lies inside some anc(v).
+    One such party outputs each monomial, shared randomness fixes the
+    output parity, and since the ANF is unique no monomial can be split
+    across parties.  Each anc(v) is computed once, so the check is one
+    subset test per monomial and party.
     """
-    return all(
-        any(all(u == v or g.has_path(u, v) for u in m) for v in range(1, g.n + 1))
-        for m in support.j_set
-    )
-
-
-def _boost_bound(n: int, support: NonlocalSupport) -> int:
-    return max(0, n - 1 - max(support.m_values.values()))
-
-
-def n_distill_bound(f: AnfFunction) -> int:
-    """Channel-count bound for boosting a weak copy of the box.
-
-    Equals n - 1 - max m_I, or 0 when the best monomial covers all parties.
-    """
-    support = nonlocal_support(f)
-    if support.n_j != 1:
-        raise SupportConditionError(
-            f"the boosting bound requires a single block, found {support.n_j}"
-        )
-    return _boost_bound(f.n, support)
+    ancestors = [g.ancestors(v) for v in range(1, g.n + 1)]
+    return all(any(m <= anc for anc in ancestors) for m in support.j_set)
 
 
 @dataclass(frozen=True)
@@ -166,19 +146,22 @@ class AmplificationPlan:
         return len(self.distill_graph.edges)
 
 
-def _plan(f: AnfFunction) -> AmplificationPlan | tuple[str, ...]:
+def _plan(
+    f: AnfFunction, support: NonlocalSupport
+) -> AmplificationPlan | tuple[str, ...]:
     """The boosting plan for f, or the reasons f is not amplifiable.
 
-    f is amplifiable when its support forms a single block and either the
+    `support` is nonlocal_support(f), computed once by the caller.  f is
+    amplifiable when its support forms a single block and either the
     margin condition max m_I > n - |union of monomials| is met or some
     isolable monomial leaves strictly fewer forwarding channels than the
     from-scratch count.  The isolated monomial is the m_I maximizer (ties
     to the smallest variable set) when it is isolable, otherwise the
     largest isolable one.  The witness graph chains all parties so that the
     forwarding edges come first and end at the receiver, making the
-    forwarding graph an automatic strict subset.
+    forwarding graph an automatic strict subset.  The plan's `bound` is
+    n - 1 - max m_I, or 0 when the best monomial covers all parties.
     """
-    support = nonlocal_support(f)
     if not support.j_set:
         return ("no degree->=2 monomials: the box is local",)
     if support.n_j != 1:
@@ -209,7 +192,7 @@ def _plan(f: AnfFunction) -> AmplificationPlan | tuple[str, ...]:
         graph=CommGraph(n=f.n, edges=_chain(forwarding + [receiver] + tail)),
         distill_graph=CommGraph(n=f.n, edges=_chain(forwarding + [receiver])),
         n_scratch=scratch,
-        bound=_boost_bound(f.n, support),
+        bound=max(0, f.n - 1 - best),
     )
 
 
@@ -218,7 +201,7 @@ def amplifiable(f: AnfFunction) -> AmplifiabilityResult:
 
     `_plan` decides it, together with the choice of the isolated monomial.
     """
-    result = _plan(f)
+    result = _plan(f, nonlocal_support(f))
     if isinstance(result, AmplificationPlan):
         return AmplifiabilityResult(ok=True)
     return AmplifiabilityResult(ok=False, reasons=result)
@@ -226,7 +209,7 @@ def amplifiable(f: AnfFunction) -> AmplifiabilityResult:
 
 def plan(f: AnfFunction) -> AmplificationPlan:
     """The boosting plan for an amplifiable single-block function."""
-    result = _plan(f)
+    result = _plan(f, nonlocal_support(f))
     if isinstance(result, tuple):
         raise NotAmplifiableError("; ".join(result))
     return result
@@ -238,32 +221,24 @@ def _collapse_on_monomial(
     """Project an n-party box onto the parties of one monomial.
 
     Parties outside the monomial receive input 0 and forward their output
-    bits to the receiver, who absorbs them into its own output by XOR.  The
+    bits to the receiver, who absorbs them into its own output by XOR.  So
+    the cut keeps each outcome's parity: the inside parties keep their
+    bits, and the receiver's bit is flipped to restore parity(a).  The
     result is a |monomial|-party table.
     """
-    n = box.n
     inside = sorted(isolated)
-    k = len(inside)
-    outside = [i for i in range(1, n + 1) if i not in isolated]
-    recv_pos = inside.index(receiver)
+    at = inside.index(receiver)
     entries: dict = {}
-    for x_sub in bit_tuples(k):
-        x_full = [0] * n
-        for pos, party in enumerate(inside):
-            x_full[party - 1] = x_sub[pos]
-        x_full = tuple(x_full)
-        for a in bit_tuples(n):
-            p = box.entries[(x_full, a)]
-            if p == 0:
-                continue
-            absorbed = 0
-            for party in outside:
-                absorbed ^= a[party - 1]
-            d = list(a[party - 1] for party in inside)
-            d[recv_pos] ^= absorbed
+    for x_sub in bit_tuples(len(inside)):
+        x_full = [0] * box.n
+        for party, bit in zip(inside, x_sub):
+            x_full[party - 1] = bit
+        for a, p in box.support(tuple(x_full)):
+            d = [a[party - 1] for party in inside]
+            d[at] ^= parity(a) ^ parity(d)
             key = (x_sub, tuple(d))
             entries[key] = entries.get(key, ZERO) + p
-    return BoxTable(k, entries)
+    return BoxTable(len(inside), entries)
 
 
 def verify_plan_end_to_end(
@@ -290,13 +265,12 @@ def verify_plan_end_to_end(
     k = len(isolated)
     residual_box = make_full_correlation(local_part(f))
     perfect_box = make_full_correlation(f)
-    part_functions = [monomial_function(f.n, m) for m in f.monomials if len(m) >= 2]
+    part_functions = [AnfFunction(f.n, [m]) for m in f.monomials if len(m) >= 2]
 
     # Forwarding must be available: every outside party reaches the receiver.
-    for party in range(1, f.n + 1):
-        if party not in isolated:
-            if not the_plan.distill_graph.has_path(party, the_plan.receiver):
-                return False
+    outside = frozenset(range(1, f.n + 1)) - isolated
+    if not outside <= the_plan.distill_graph.ancestors(the_plan.receiver):
+        return False
 
     # Stage 1: the correlated-error assembly reproduces the weak box.
     weak = xor_boxes(xor_star(part_functions, eps), residual_box)
@@ -347,13 +321,13 @@ def report_text(
     verify = verify_eps is not None
     if verify != (verify_steps is not None):
         raise ValueError("the end-to-end check needs both verify_eps and verify_steps")
-    the_plan = _plan(f)
+    support = nonlocal_support(f)
+    the_plan = _plan(f, support)
     if verify and isinstance(the_plan, tuple):
         raise NotAmplifiableError(
             "end-to-end verification needs an amplifiable function: "
             + "; ".join(the_plan)
         )
-    support = nonlocal_support(f)
     lines = [f"function: {f.to_text()}", f"parties: {f.n}"]
     if not support.j_set:
         lines.append("degree->=2 monomials: (none)")
@@ -378,7 +352,7 @@ def report_text(
         lines.append(f"m{_format_monomial(mono)} = {support.m_values[mono]}")
     lines.append(f"local residue: {local_part(f).to_text()}")
     lines.append(f"n_scratch: {_scratch_count(support)}")
-    g = scratch_graph(f)
+    g = _scratch_graph(f.n, support)
     lines.append(f"scratch graph edges: {_format_edges(g)}")
     lines.append(
         f"scratch path condition: {'ok' if verify_path_condition(g, support) else 'VIOLATED'}"

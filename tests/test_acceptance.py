@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from nsboxes.boolfn import anf, nonlocal_support, parse_expr
+from nsboxes.boolfn import AnfFunction, nonlocal_support, parse_expr
 from nsboxes.boxes import (
     bit_tuples,
     make_correlated,
@@ -21,7 +21,6 @@ from nsboxes.boxes import (
 )
 from nsboxes.commcost import (
     amplifiable,
-    n_distill_bound,
     n_scratch,
     plan,
     verify_plan_end_to_end,
@@ -111,8 +110,8 @@ def test_criterion_05_four_party_example():
         assert support.m_values[frozenset({1, 2, 3})] == 2
         assert support.m_values[frozenset({3, 4})] == 1
         assert n_scratch(f) == 3
-        assert n_distill_bound(f) == 1
         p = plan(f)
+        assert p.bound == 1
         assert p.n_distill == 1
         assert p.distill_graph.edges == frozenset({(4, 3)})
         assert p.distill_graph.edges < p.graph.edges
@@ -169,7 +168,7 @@ def test_criterion_08_xor_of_full_correlation_boxes():
         for _ in range(200):
             m1 = frozenset(m for m in all_monomials if rng.random() < 0.5)
             m2 = frozenset(m for m in all_monomials if rng.random() < 0.5)
-            f1, f2 = anf(3, m1), anf(3, m2)
+            f1, f2 = AnfFunction(3, m1), AnfFunction(3, m2)
             lhs = xor_boxes(make_full_correlation(f1), make_full_correlation(f2))
             assert lhs == make_full_correlation(f1 ^ f2)
 
@@ -213,7 +212,7 @@ def test_criterion_10_three_party_sweep_and_reachability():
         swept = 0
         for mask in range(2 ** len(all_monomials)):
             monos = [m for bit, m in enumerate(all_monomials) if mask >> bit & 1]
-            f = anf(3, monos)
+            f = AnfFunction(3, monos)
             support = nonlocal_support(f)
             if not support.j_set:
                 continue

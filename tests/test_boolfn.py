@@ -8,10 +8,8 @@ from hypothesis import given, settings, strategies as st
 from nsboxes.boolfn import (
     AnfFunction,
     ExprSyntaxError,
-    anf,
     anf_from_truth_table,
     local_part,
-    monomial_function,
     nonlocal_support,
     parse_expr,
 )
@@ -97,11 +95,11 @@ class TestEvaluation:
         assert f.evaluate((1, 1, 1, 0)) == 0
 
     def test_constant_one(self):
-        one = anf(3, [()])
+        one = AnfFunction(3, [()])
         assert all(one.evaluate(x) == 1 for x in bit_tuples(3))
 
     def test_empty_function_is_zero(self):
-        zero = anf(3, [])
+        zero = AnfFunction(3, [])
         assert all(zero.evaluate(x) == 0 for x in bit_tuples(3))
 
 
@@ -257,6 +255,25 @@ class TestImmutability:
             type(sup)(j_set=sup.j_set, blocks=sup.blocks, m_values=sup.m_values, n_j=2)
 
 
+class TestShape:
+    @pytest.mark.parametrize("n, monomials, error, named", [
+        (-1, [], ValueError, "-1"),
+        (True, [], TypeError, "True"),
+        (2.0, [], TypeError, "2.0"),
+        (3, [[1.5]], TypeError, "1.5"),
+        (3, [[True, 2]], TypeError, "True"),
+        (3, [[0, 1]], ValueError, "0"),
+        (3, [[4]], ValueError, "4"),
+    ])
+    def test_rejects_malformed_functions(self, n, monomials, error, named):
+        with pytest.raises(error, match=named):
+            AnfFunction(n, monomials)
+
+    def test_zero_variables_is_valid(self):
+        assert AnfFunction(0, [()]) == anf_from_truth_table("1")
+        assert AnfFunction(0, []).truth_table() == "0"
+
+
 class TestLocalPart:
     def test_examples(self):
         f4 = parse_expr("x1*x2*x3 + x3*x4 + x1", 4)
@@ -278,11 +295,11 @@ class TestLocalPart:
 
 
 def test_monomial_function():
-    f = monomial_function(4, {2, 3})
+    f = AnfFunction(4, [{2, 3}])
     assert f.evaluate((0, 1, 1, 0)) == 1
     assert f.evaluate((1, 1, 0, 1)) == 0
 
 
 def test_xor_operator_requires_same_arity():
     with pytest.raises(ValueError):
-        anf(2, [{1}]) ^ anf(3, [{1}])
+        AnfFunction(2, [{1}]) ^ AnfFunction(3, [{1}])

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsboxes.boolfn import anf, parse_expr
+from nsboxes.boolfn import AnfFunction, parse_expr
 from nsboxes.boxes import (
     BoxTable,
     bit_tuples,
@@ -46,7 +46,7 @@ def random_anf(rng, n):
         for mask in range(2 ** n)
         if rng.random() < 0.3
     ]
-    return anf(n, monomials)
+    return AnfFunction(n, monomials)
 
 
 def test_npr_two_party_values():
@@ -74,8 +74,8 @@ def test_npr_normalized_and_non_signaling_n4():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_constructors_non_signaling(n):
-    f = anf(n, [frozenset(range(1, n + 1)), frozenset([1])])
-    g = anf(n, [frozenset([n])])
+    f = AnfFunction(n, [frozenset(range(1, n + 1)), frozenset([1])])
+    g = AnfFunction(n, [frozenset([n])])
     for box in [
         make_npr(n),
         make_even_parity(n),
@@ -132,8 +132,8 @@ def test_correlated_eps_range():
 
 
 def test_full_correlation_special_cases():
-    assert make_full_correlation(anf(2, [{1, 2}])) == make_npr(2)
-    assert make_full_correlation(anf(3, [])) == make_even_parity(3)
+    assert make_full_correlation(AnfFunction(2, [{1, 2}])) == make_npr(2)
+    assert make_full_correlation(AnfFunction(3, [])) == make_even_parity(3)
 
 
 def test_full_correlation_four_party_example_non_signaling():
@@ -195,7 +195,7 @@ def test_xor_boxes_dimension_mismatch():
 
 
 def test_xor_star_single_function():
-    f = anf(2, [{1, 2}])
+    f = AnfFunction(2, [{1, 2}])
     assert xor_star([f], F(1, 3)) == make_correlated(2, F(1, 3))
 
 
@@ -225,7 +225,7 @@ def test_xor_star_combines_functions_before_mixing():
 def test_xor_star_is_not_xor_of_independent_mixtures():
     # correlated errors: eps * (P xor P) + (1-eps) * even = even-parity;
     # independent errors instead leave weight 2 eps (1-eps) on the PR part
-    f = anf(2, [{1, 2}])
+    f = AnfFunction(2, [{1, 2}])
     eps = F(1, 2)
     correlated_err = xor_star([f, f], eps)
     independent = xor_boxes(make_correlated(2, eps), make_correlated(2, eps))

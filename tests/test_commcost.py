@@ -1,17 +1,25 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from nsboxes.boolfn import anf, local_part, monomial_function, nonlocal_support, parse_expr
-from nsboxes.boxes import MAX_EXHAUSTIVE_PARTIES, bit_tuples
+from nsboxes.boolfn import AnfFunction, local_part, nonlocal_support, parse_expr
+from nsboxes.boxes import (
+    MAX_EXHAUSTIVE_PARTIES,
+    ZERO,
+    BoxTable,
+    bit_tuples,
+    make_correlated,
+    make_full_correlation,
+    mix,
+)
 from nsboxes.commcost import (
     CommGraph,
     NotAmplifiableError,
-    SupportConditionError,
+    _collapse_on_monomial,
     amplifiable,
-    n_distill_bound,
     n_scratch,
     plan,
     report_text,
@@ -19,6 +27,7 @@ from nsboxes.commcost import (
     verify_path_condition,
     verify_plan_end_to_end,
 )
+from nsboxes.locality import LocalModel
 
 
 @pytest.fixture
@@ -29,6 +38,19 @@ def four_party():
 @pytest.fixture
 def six_party():
     return parse_expr("x1*x2 + x2*x3 + x4*x5*x6 + x5", 6)
+
+
+def has_path(g, u, v):
+    """Forward search from u, the reference for CommGraph.ancestors."""
+    seen = {u}
+    frontier = [u]
+    while frontier:
+        w = frontier.pop()
+        for a, b in g.edges:
+            if a == w and b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return v in seen
 
 
 class TestGraph:
@@ -49,8 +71,23 @@ class TestGraph:
 
     def test_reachability(self):
         g = CommGraph(n=4, edges=frozenset({(4, 3), (3, 2), (2, 1)}))
-        assert g.has_path(4, 1)
-        assert not g.has_path(1, 4)
+        assert g.ancestors(1) == {1, 2, 3, 4}
+        assert g.ancestors(4) == {4}
+
+    @pytest.mark.parametrize("edge", [(1, 2.0), (True, 2)])
+    def test_rejects_vertices_that_are_not_ints(self, edge):
+        with pytest.raises(TypeError, match=re.escape(f"edge {edge!r}")):
+            CommGraph(3, [edge])
+
+    def test_ancestors_match_the_path_search(self):
+        rng = random.Random(16)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            pairs = list(itertools.permutations(range(1, n + 1), 2))
+            g = CommGraph(n, [e for e in pairs if rng.random() < 0.3])
+            for v in range(1, n + 1):
+                expected = {v} | {u for u in range(1, n + 1) if has_path(g, u, v)}
+                assert g.ancestors(v) == expected, (g.edges, v)
 
 
 class TestScratchCount:
@@ -115,7 +152,7 @@ def block_rule(g, support):
     reachable from all of the block's vertices."""
     for block in support.blocks:
         vertices = sorted(frozenset().union(*block))
-        if not any(all(w == v or g.has_path(w, v) for w in vertices) for v in vertices):
+        if not any(all(w == v or has_path(g, w, v) for w in vertices) for v in vertices):
             return False
     return True
 
@@ -149,7 +186,7 @@ class TestPathCondition:
         ]
         supports = widened = 0
         for mask in range(1, 2 ** len(monomials)):
-            f = anf(3, [m for bit, m in enumerate(monomials) if mask >> bit & 1])
+            f = AnfFunction(3, [m for bit, m in enumerate(monomials) if mask >> bit & 1])
             support = nonlocal_support(f)
             passing = [g for g in graphs if verify_path_condition(g, support)]
             assert min(len(g.edges) for g in passing) == n_scratch(f), f.to_text()
@@ -159,6 +196,27 @@ class TestPathCondition:
         assert supports == 15
         assert widened == 6
 
+    def test_fewest_covering_edges_equal_n_scratch_at_four_parties(self):
+        # each digraph covers the monomials inside some anc(v); keep the
+        # fewest edges per covered set, then take the best superset per support
+        monomials = [
+            frozenset(m) for k in (2, 3, 4) for m in itertools.combinations(range(1, 5), k)
+        ]
+        pairs = list(itertools.permutations(range(1, 5), 2))
+        fewest: dict[int, int] = {}
+        for mask in range(2 ** len(pairs)):
+            g = CommGraph(4, [e for bit, e in enumerate(pairs) if mask >> bit & 1])
+            ancestors = [g.ancestors(v) for v in range(1, 5)]
+            covered = sum(
+                1 << i for i, m in enumerate(monomials) if any(m <= anc for anc in ancestors)
+            )
+            fewest[covered] = min(fewest.get(covered, len(pairs)), len(g.edges))
+        assert len(fewest) == 49
+        for chosen in range(1, 2 ** len(monomials)):
+            f = AnfFunction(4, [m for i, m in enumerate(monomials) if chosen >> i & 1])
+            least = min(k for covered, k in fewest.items() if chosen & covered == chosen)
+            assert least == n_scratch(f), f.to_text()
+
 
 class TestDecompose:
     """f is the XOR of its degree->=2 monomial functions and its local part:
@@ -166,7 +224,7 @@ class TestDecompose:
 
     @staticmethod
     def split(f):
-        return [monomial_function(f.n, m) for m in f.monomials if len(m) >= 2], local_part(f)
+        return [AnfFunction(f.n, [m]) for m in f.monomials if len(m) >= 2], local_part(f)
 
     @staticmethod
     def assert_xor_identity(f, parts, residual):
@@ -205,7 +263,7 @@ class TestDecompose:
         built = 0
         while built < 12:
             chosen = rng.sample(pool, rng.randint(1, 4))
-            f = anf(6, chosen)
+            f = AnfFunction(6, chosen)
             if nonlocal_support(f).n_j != 1:
                 continue
             built += 1
@@ -213,18 +271,20 @@ class TestDecompose:
 
 
 class TestDistillBound:
+    """The formula bound n - 1 - max m_I that a plan records."""
+
     def test_four_party_example(self, four_party):
-        assert n_distill_bound(four_party) == 1
+        assert plan(four_party).bound == 1
 
     def test_full_cover_monomial(self):
-        assert n_distill_bound(parse_expr("x1*x2*x3", 3)) == 0
+        assert plan(parse_expr("x1*x2*x3", 3)).bound == 0
 
     def test_three_party_chain(self):
-        assert n_distill_bound(parse_expr("x1*x2 + x2*x3", 3)) == 1
+        assert plan(parse_expr("x1*x2 + x2*x3", 3)).bound == 1
 
     def test_requires_single_block(self, six_party):
-        with pytest.raises(SupportConditionError):
-            n_distill_bound(six_party)
+        with pytest.raises(NotAmplifiableError, match="n_J = 2 != 1"):
+            plan(six_party)
 
 
 class TestAmplifiable:
@@ -249,7 +309,7 @@ class TestAmplifiable:
                  frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}),
                  frozenset({1, 2, 3})]
             ) if mask >> bit & 1]
-            f = anf(3, monos)
+            f = AnfFunction(3, monos)
             verdict = amplifiable(f)
             if not verdict:
                 with pytest.raises(NotAmplifiableError) as err:
@@ -260,7 +320,7 @@ class TestAmplifiable:
             p = plan(f)
             assert p.n_distill == len(p.distill_graph.edges)
             assert p.n_scratch == n_scratch(f)
-            assert p.bound == n_distill_bound(f)
+            assert p.bound == max(0, 2 - max(nonlocal_support(f).m_values.values()))
             count += 1
         assert count == 240
 
@@ -338,7 +398,7 @@ class TestPlan:
             assert p.n_distill == f.n - len(p.isolated)
             for party in range(1, f.n + 1):
                 if party not in p.isolated:
-                    assert p.distill_graph.has_path(party, p.receiver)
+                    assert party in p.distill_graph.ancestors(p.receiver)
 
     def test_not_amplifiable_raises(self, six_party):
         with pytest.raises(NotAmplifiableError):
@@ -350,6 +410,59 @@ class TestPlan:
         assert hash(p) == hash(plan(four_party))
         with pytest.raises(TypeError):
             type(p)(p.isolated, p.receiver, p.graph, p.distill_graph, p.n_scratch, p.n_distill, p.bound)
+
+
+def collapse_reference(box, isolated, receiver):
+    """The monomial cut that XORs each outside party's bit into the receiver's."""
+    n = box.n
+    inside = sorted(isolated)
+    outside = [i for i in range(1, n + 1) if i not in isolated]
+    recv_pos = inside.index(receiver)
+    entries = {}
+    for x_sub in bit_tuples(len(inside)):
+        x_full = [0] * n
+        for pos, party in enumerate(inside):
+            x_full[party - 1] = x_sub[pos]
+        for a in bit_tuples(n):
+            p = box.entries[(tuple(x_full), a)]
+            if p == 0:
+                continue
+            absorbed = 0
+            for party in outside:
+                absorbed ^= a[party - 1]
+            d = [a[party - 1] for party in inside]
+            d[recv_pos] ^= absorbed
+            key = (x_sub, tuple(d))
+            entries[key] = entries.get(key, ZERO) + p
+    return BoxTable(len(inside), entries)
+
+
+class TestCollapse:
+    def test_matches_the_reference_cut(self):
+        # local mixtures are not parity-symmetric; full-correlation and
+        # correlated boxes are the ones the boosting pipeline cuts
+        rng = random.Random(27)
+        for n in (3, 4, 5):
+            for _ in range(6):
+                strategies = {
+                    tuple((rng.randint(0, 1), rng.randint(0, 1)) for _ in range(n)):
+                    F(rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 3))
+                }
+                total = sum(strategies.values())
+                parts = [LocalModel({s: w / total for s, w in strategies.items()}).to_box()]
+                if rng.random() < 0.5:
+                    monos = [m for m in itertools.combinations(range(1, n + 1), 2)
+                             if rng.random() < 0.5]
+                    parts.append(make_full_correlation(AnfFunction(n, monos)))
+                if rng.random() < 0.5:
+                    parts.append(make_correlated(n, F(rng.randint(1, 3), 4)))
+                box = mix(parts, [F(1, len(parts))] * len(parts))
+                isolated = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+                receiver = rng.choice(sorted(isolated))
+                assert _collapse_on_monomial(box, isolated, receiver) == collapse_reference(
+                    box, isolated, receiver
+                )
 
 
 class TestEndToEnd:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from nsboxes import locality, lp
-from nsboxes.boolfn import anf
+from nsboxes.boolfn import AnfFunction
 from nsboxes.boxes import (
     bit_tuples,
     make_correlated,
@@ -268,8 +268,8 @@ def deterministic_box(s):
 def seeded_boxes(rng):
     for n in (2, 3, 4):
         yield make_correlated(n, F(rng.randint(1, 16), 16))
-        functions = [anf(n, [{i + 1 for i in range(n) if mask >> i & 1}
-                             for mask in range(2 ** n) if rng.random() < 0.4])
+        functions = [AnfFunction(n, [{i + 1 for i in range(n) if mask >> i & 1}
+                                     for mask in range(2 ** n) if rng.random() < 0.4])
                      for _ in range(2)]
         eps = F(rng.randint(1, 7), 8)
         yield mix([make_full_correlation(f) for f in functions] + [make_even_parity(n)],
