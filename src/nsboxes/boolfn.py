@@ -16,7 +16,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .boxes import bit_tuples
+from .boxes import bit_tuples, check_bits, check_int
 
 Monomial = frozenset[int]
 
@@ -42,22 +42,15 @@ class AnfFunction:
     monomials: frozenset[Monomial]
 
     def __post_init__(self):
-        if type(self.n) is not int:
-            raise TypeError(f"variable count {self.n!r} is not an int")
-        if self.n < 0:
-            raise ValueError(f"variable count {self.n} is negative")
+        check_int(self.n, "variable count", 0)
         object.__setattr__(self, "monomials", frozenset(map(frozenset, self.monomials)))
         for mono in self.monomials:
             for i in mono:
-                if type(i) is not int:
-                    raise TypeError(f"variable index {i!r} is not an int")
-                if not 1 <= i <= self.n:
-                    raise ValueError(f"variable index {i} outside 1..{self.n}")
+                check_int(i, "variable index", 1, self.n)
 
     def evaluate(self, x) -> int:
-        """XOR over monomials of the AND of their variables at point x."""
-        if len(x) != self.n:
-            raise ValueError(f"expected {self.n} input bits, got {len(x)}")
+        """XOR over monomials of the AND of their variables at point x, a tuple of n bits."""
+        check_bits(x, self.n, "input")
         value = 0
         for mono in self.monomials:
             value ^= all(x[i - 1] for i in mono)
@@ -154,14 +147,12 @@ def anf_from_truth_table(tt) -> AnfFunction:
     belongs to x = (0, ..., 0) and where x1 is the most significant index
     bit.  Uses the in-place butterfly form of the binary Moebius transform.
     """
-    bits = [int(b) for b in tt]
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("truth table entries must be bits")
+    bits = check_bits(tuple(map(int, tt)), len(tt), f"truth table {tt!r}")
     size = len(bits)
     if size == 0 or size & (size - 1):
         raise ValueError(f"truth table length {size} is not a power of two")
     n = size.bit_length() - 1
-    coeff = bits[:]
+    coeff = list(bits)
     half = 1
     while half < size:
         for start in range(0, size, 2 * half):

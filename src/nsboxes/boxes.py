@@ -40,9 +40,21 @@ def parity(bits: Iterable[int]) -> int:
     return p
 
 
-def _check_party_count(n: int) -> None:
-    if not 1 <= n <= MAX_PARTIES:
-        raise ValueError(f"party count must be in 1..{MAX_PARTIES}, got {n}")
+def check_int(value, what: str, low: int, high: int | None = None) -> int:
+    """value, an int (not a bool; else TypeError) in low..high, or >= low if high is None (else ValueError)."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {value!r}")
+    if value < low or (high is not None and value > high):
+        span = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{what} must be {span}, got {value}")
+    return value
+
+
+def check_bits(value, n: int, what: str) -> Bits:
+    """value, required to be a tuple of n ints, each 0 or 1 (an n-bit tuple); else ValueError."""
+    if type(value) is not tuple or len(value) != n or not all(type(b) is int and 0 <= b <= 1 for b in value):
+        raise ValueError(f"{what} must be a {n}-bit tuple, got {value!r}")
+    return value
 
 
 def check_exhaustive_party_count(n: int, what: str) -> None:
@@ -55,20 +67,22 @@ def check_exhaustive_party_count(n: int, what: str) -> None:
 
 def check_boosting_party_count(n: int) -> None:
     """Refuse fewer than two parties for the boosting map and its wiring."""
-    if n < 2:
-        raise ValueError("the boosting map needs at least two parties")
+    try:
+        check_int(n, "party count", 2)
+    except ValueError:
+        raise ValueError("the boosting map needs at least two parties") from None
 
 
 def _exact(value, what: str) -> Fraction:
-    """value as a Fraction; a float raises TypeError.
+    """value as a Fraction; a float or a bool raises TypeError.
 
     A float's binary expansion (0.1 is 3602879701896397/2^55) is almost
-    never the number meant.
+    never the number meant, and a bool (True == 1) is a flag passed by mistake.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise TypeError(f"float {what}: {value!r}; pass an exact Fraction")
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"{type(value).__name__} {what}: {value!r}; pass an exact Fraction")
     return Fraction(value)
 
 
@@ -91,9 +105,9 @@ def check_positive_weight(eps) -> Fraction:
 class BoxTable:
     """Dense table P(a | x) over n binary-input, binary-output parties.
 
-    Invariants, enforced at construction: every entry is a nonnegative
-    Fraction and for every input x the entries sum to exactly 1.  Entries
-    omitted from the given mapping are zero; the stored `entries` is a
+    Invariants, enforced at construction: keys are (x, a) pairs of n-bit
+    tuples, entries are nonnegative Fractions, and for every input x they
+    sum to exactly 1.  Omitted entries are zero; the stored `entries` is a
     read-only view holding all 4^n of them.
     """
 
@@ -101,7 +115,7 @@ class BoxTable:
     entries: Mapping[tuple[Bits, Bits], Fraction] = field(repr=False)
 
     def __post_init__(self):
-        _check_party_count(self.n)
+        check_int(self.n, "party count", 1, MAX_PARTIES)
         full = {}
         for x in bit_tuples(self.n):
             total = ZERO
@@ -117,6 +131,9 @@ class BoxTable:
                 raise ValueError(
                     f"conditional distribution for x={x} sums to {total}, not 1"
                 )
+        if not self.entries.keys() <= full.keys():
+            stray = min((key for key in self.entries if key not in full), key=repr)
+            raise ValueError(f"key {stray!r} is not an (x, a) pair of {self.n}-bit tuples")
         object.__setattr__(self, "entries", MappingProxyType(full))
 
     def prob(self, x: Bits, a: Bits) -> Fraction:
@@ -145,7 +162,7 @@ def _parity_box(n: int, odd_weight) -> BoxTable:
     P(a|x) = q(x)/2^(n-1) for odd parity(a), (1 - q(x))/2^(n-1) for even:
     the correlator form of Werner & Wolf, PRA 64, 032112 (2001).
     """
-    _check_party_count(n)
+    check_int(n, "party count", 1, MAX_PARTIES)
     share = Fraction(1, 2 ** (n - 1))
     outputs = [(a, parity(a)) for a in bit_tuples(n)]
     entries = {}
@@ -207,7 +224,7 @@ def xor_boxes(p: BoxTable, q: BoxTable) -> BoxTable:
     outputs the XOR of its two output bits.
     """
     if p.n != q.n:
-        raise ValueError("xor_boxes requires equal party counts")
+        raise ValueError(f"xor_boxes requires equal party counts, got {p.n} and {q.n}")
     n = p.n
     entries = {(x, c): ZERO for x in bit_tuples(n) for c in bit_tuples(n)}
     for x in bit_tuples(n):

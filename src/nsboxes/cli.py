@@ -227,7 +227,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.run(args, parser)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+        return USAGE_ERROR if exc.code else 0
     except (_UsageError, OSError, boxfile.BoxFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

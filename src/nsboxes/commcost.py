@@ -21,6 +21,7 @@ from .boxes import (
     ZERO,
     bit_tuples,
     check_exhaustive_party_count,
+    check_int,
     check_positive_weight,
     make_correlated,
     make_full_correlation,
@@ -41,26 +42,24 @@ class NotAmplifiableError(ValueError):
 class CommGraph:
     """Directed graph on party vertices; an edge is a one-way channel.
 
-    `edges` may be any iterable of pairs of int vertices; it is stored as
-    a frozenset.
+    `n` is an int >= 0.  `edges` may be any iterable of pairs of vertices,
+    ints in 1..n; it is stored as a frozenset.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        check_int(self.n, "vertex count", 0)
         object.__setattr__(self, "edges", frozenset(self.edges))
-        for u, v in self.edges:
-            if type(u) is not int or type(v) is not int:
-                raise TypeError(f"edge ({u!r}, {v!r}) has a vertex that is not an int")
+        for edge in self.edges:
+            u, v = (check_int(w, f"vertex of edge {edge!r}", 1, self.n) for w in edge)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge ({u}, {v}) outside vertices 1..{self.n}")
 
     def ancestors(self, v: int) -> frozenset[int]:
         """anc(v): v and every vertex with a path to v, by one reverse search."""
-        seen = {v}
+        seen = {check_int(v, "vertex", 1, self.n)}
         frontier = [v]
         while frontier:
             w = frontier.pop()
@@ -197,9 +196,10 @@ def _plan(
 
 
 def amplifiable(f: AnfFunction) -> AmplifiabilityResult:
-    """Whether a weak copy plus a strict channel subset can boost the box.
+    """Whether a weak copy can be boosted over a strict subset of `plan.graph`.
 
-    `_plan` decides it, together with the choice of the isolated monomial.
+    That graph chains all n parties, so the subset need not have fewer channels
+    than `n_scratch`.  `_plan` decides it, with the choice of the isolated monomial.
     """
     result = _plan(f, nonlocal_support(f))
     if isinstance(result, AmplificationPlan):
@@ -256,8 +256,7 @@ def verify_plan_end_to_end(
     table equals eps_m * (perfect box) + (1 - eps_m) * (local residue box).
     """
     eps = check_positive_weight(eps)
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    check_int(steps, "steps", 0)
 
     the_plan = plan(f)
     check_exhaustive_party_count(f.n, "end-to-end verification")

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .boxes import (
     check_boosting_party_count,
     check_exhaustive_party_count,
+    check_int,
     check_weight,
     make_correlated,
 )
@@ -83,8 +84,7 @@ def iterate(n: int, eps0: Fraction, steps: int) -> Trajectory:
     """Trajectory of `steps` boosting rounds from eps0; uses 2^steps copies."""
     check_boosting_party_count(n)
     eps0 = check_weight(eps0)
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    check_int(steps, "steps", 0)
     seq = [eps0]
     for _ in range(steps):
         seq.append(t_map(n, seq[-1]))

@@ -32,7 +32,9 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import lp
-from .boxes import ONE, ZERO, BoxTable, Bits, _exact, bit_tuples, check_exhaustive_party_count
+from .boxes import (
+    ONE, ZERO, BoxTable, Bits, _exact, bit_tuples, check_bits, check_exhaustive_party_count,
+)
 
 NORM = ("norm",)
 
@@ -80,11 +82,11 @@ class LocalModel:
             raise ValueError("a local model needs at least one strategy")
         first = next(iter(self.weights))
         for s in self.weights:
-            if not (
-                isinstance(s, tuple)
-                and all(r in _RESPONSES and all(isinstance(b, int) for b in r) for r in s)
-            ):
-                raise ValueError(f"strategy {s!r} is not a tuple of (bit, bit) response pairs")
+            try:
+                for r in s if isinstance(s, tuple) else (s,):  # a non-tuple s fails check_bits
+                    check_bits(r, 2, "response")
+            except ValueError as exc:
+                raise ValueError(f"strategy {s!r} is not a tuple of (bit, bit) response pairs") from exc
             if len(s) != len(first):
                 raise ValueError(f"strategy {s!r} has {len(s)} parties, {first!r} has {len(first)}")
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
@@ -217,12 +219,10 @@ def realism_distribution(model: LocalModel) -> dict:
 
 def realism_marginal(dist: dict, n: int, x: Bits) -> dict:
     """Marginal of the joint potential-output distribution at input x."""
-    if len(x) != n:
-        raise ValueError(f"input has {len(x)} bits, n says {n}")
+    check_bits(x, n, "input")
     out: dict = {}
     for point, w in dist.items():
-        if len(point) != 2 * n:
-            raise ValueError(f"point {point!r} has {len(point)} bits, expected {2 * n}")
+        check_bits(point, 2 * n, "point")
         a = tuple(point[2 * i + x[i]] for i in range(n))
         out[a] = out.get(a, ZERO) + w
     return out

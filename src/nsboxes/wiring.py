@@ -21,7 +21,9 @@ from .boxes import (
     BoxTable,
     _exact,
     bit_tuples,
+    check_bits,
     check_boosting_party_count,
+    check_int,
 )
 
 # A party's history is one int slot h: bit t of h holds box t+1's output.
@@ -46,8 +48,8 @@ class Wiring:
     parties: tuple[PartyRules, ...]
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("a wiring needs at least one box")
+        check_int(self.n, "party count", 1)
+        check_int(self.m, "box count", 1)
         if len(self.parties) != self.n:
             raise ValueError("one rule set per party required")
         for w in self.randomness:
@@ -72,10 +74,7 @@ def _check_table(table, n_r: int, n_hist: int) -> None:
         if len(per_x) != n_r:
             raise ValueError("step table randomness dimension mismatch")
         for per_r in per_x:
-            if len(per_r) != n_hist:
-                raise ValueError("step table history dimension mismatch")
-            if any(bit not in (0, 1) for bit in per_r):
-                raise ValueError("table entries must be bits")
+            check_bits(per_r, n_hist, "step table row")
 
 
 def _tabulate(rule, n_r: int, length: int) -> Table:

@@ -194,11 +194,11 @@ def test_results_are_frozen():
 class TestRealism:
     def test_marginal_checks_the_party_count(self):
         dist = realism_distribution(decide_locality(make_even_parity(2)).model)
-        with pytest.raises(ValueError, match="input has 3 bits, n says 2"):
+        with pytest.raises(ValueError, match=re.escape("input must be a 2-bit tuple, got (0, 0, 0)")):
             realism_marginal(dist, 2, (0, 0, 0))
-        with pytest.raises(ValueError, match=r"has 4 bits, expected 6"):
+        with pytest.raises(ValueError, match=r"point must be a 6-bit tuple, got \([01], [01], [01], [01]\)"):
             realism_marginal(dist, 3, (0, 0, 0))
-        with pytest.raises(ValueError, match=r"has 4 bits, expected 2"):
+        with pytest.raises(ValueError, match=r"point must be a 2-bit tuple, got \([01], [01], [01], [01]\)"):
             realism_marginal(dist, 1, (0,))
 
     def test_point_mass_for_deterministic_model(self):
