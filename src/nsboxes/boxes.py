@@ -46,7 +46,9 @@ def check_int(value, what: str, low: int, high: int | None = None) -> int:
         raise TypeError(f"{what} must be an int, got {value!r}")
     if value < low or (high is not None and value > high):
         span = f"at least {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{what} must be {span}, got {value}")
+        # str() of an int past 4,300 digits raises: a huge value is named by its size.
+        shown = value if value.bit_length() <= 256 else f"an int of {value.bit_length()} bits"
+        raise ValueError(f"{what} must be {span}, got {shown}")
     return value
 
 
@@ -196,11 +198,13 @@ def make_full_correlation(f) -> BoxTable:
 
 
 def mix(boxes: list[BoxTable], weights: list[Fraction]) -> BoxTable:
-    """Entrywise convex combination of boxes over the same parties."""
+    """Entrywise convex combination of boxes over the same parties, summed over one common denominator."""
     if not boxes:
         raise ValueError("mix requires at least one box")
     if len(boxes) != len(weights):
         raise ValueError("one weight per box required")
+    for i, b in enumerate(boxes):
+        _check_box(b, f"mix: boxes[{i}]")
     n = boxes[0].n
     if any(b.n != n for b in boxes):
         raise ValueError("mixed boxes must share the party count")
@@ -209,32 +213,62 @@ def mix(boxes: list[BoxTable], weights: list[Fraction]) -> BoxTable:
         raise ValueError("weights must be nonnegative")
     if sum(weights) != 1:
         raise ValueError(f"weights sum to {sum(weights)}, not 1")
-    entries = {}
-    for key in boxes[0].entries:
-        entries[key] = sum(
-            (w * b.entries[key] for b, w in zip(boxes, weights)), ZERO
-        )
-    return BoxTable(n, entries)
+    terms = [(w, *_numerators(b)) for b, w in zip(boxes, weights) if w]
+    den = math.lcm(*(w.denominator * d for w, _, d in terms))
+    totals = [0] * len(boxes[0].entries)
+    for w, flat, d in terms:
+        c = w.numerator * (den // (w.denominator * d))
+        totals = [t + c * v for t, v in zip(totals, flat)]
+    return BoxTable(n, {key: Fraction(t, den) for key, t in zip(boxes[0].entries, totals)})
 
 
 def xor_boxes(p: BoxTable, q: BoxTable) -> BoxTable:
     """Box producing the bitwise XOR of two boxes' outputs on a shared input.
 
     Both boxes receive the same input tuple and answer independently; party i
-    outputs the XOR of its two output bits.
+    outputs the XOR of its two output bits.  Each output row is the XOR convolution of the
+    input's two rows: transform both by Walsh-Hadamard, in integers, multiply pointwise and
+    transform back (Fino & Algazi, IEEE Trans. Comput. C-25, 1142 (1976)).
     """
+    _check_box(p, "xor_boxes: p")
+    _check_box(q, "xor_boxes: q")
     if p.n != q.n:
         raise ValueError(f"xor_boxes requires equal party counts, got {p.n} and {q.n}")
     n = p.n
-    entries = {(x, c): ZERO for x in bit_tuples(n) for c in bit_tuples(n)}
-    for x in bit_tuples(n):
-        sup_p = p.support(x)
-        sup_q = q.support(x)
-        for a, pa in sup_p:
-            for b, qb in sup_q:
-                c = tuple(ai ^ bi for ai, bi in zip(a, b))
-                entries[(x, c)] += pa * qb
-    return BoxTable(n, entries)
+    side = 1 << n
+    (flat_p, den_p), (flat_q, den_q) = _numerators(p), _numerators(q)
+    den = den_p * den_q * side  # the inverse transform divides by 2^n
+    values = []
+    for start in range(0, side * side, side):
+        row_p = _walsh_hadamard(flat_p[start:start + side])
+        row_q = _walsh_hadamard(flat_q[start:start + side])
+        values += _walsh_hadamard([u * v for u, v in zip(row_p, row_q)])
+    return BoxTable(n, {key: Fraction(v, den) for key, v in zip(p.entries, values)})
+
+
+def _check_box(value, what: str) -> BoxTable:
+    """value, required to be a BoxTable; else TypeError."""
+    if not isinstance(value, BoxTable):
+        raise TypeError(f"{what} must be a BoxTable, got {value!r}")
+    return value
+
+
+def _numerators(box: BoxTable) -> tuple[list[int], int]:
+    """The entries as integers over their common denominator, in flat `(x << n) | a` order."""
+    den = math.lcm(*(v.denominator for v in box.entries.values()))
+    return [v.numerator * (den // v.denominator) for v in box.entries.values()], den
+
+
+def _walsh_hadamard(row: list[int]) -> list[int]:
+    """row, transformed in place by the butterfly (u, v) -> (u + v, u - v); returns row."""
+    size, half = len(row), 1
+    while half < size:
+        for start in range(0, size, 2 * half):
+            for i in range(start, start + half):
+                u, v = row[i], row[i + half]
+                row[i], row[i + half] = u + v, u - v
+        half *= 2
+    return row
 
 
 def xor_star(functions: list, eps: Fraction) -> BoxTable:
@@ -282,8 +316,7 @@ def is_non_signaling(p: BoxTable) -> SignalingCheck:
     """
     n = p.n
     side = 1 << n
-    den = math.lcm(*(v.denominator for v in p.entries.values()))
-    flat = [v.numerator * (den // v.denominator) for v in p.entries.values()]
+    flat, _ = _numerators(p)
     rows = [flat[x * side:(x + 1) * side] for x in range(side)]
     for k in range(n):
         bit = 1 << (n - 1 - k)  # party k's bit, in x and in a alike

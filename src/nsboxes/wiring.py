@@ -102,6 +102,8 @@ def make_wiring(n: int, m: int, input_rule, output_rule, randomness=None) -> Wir
     r, outputs)` gives its final bit.  Party and box indices are 0-based
     here; `randomness` defaults to a single deterministic value.
     """
+    check_int(n, "party count", 1)
+    check_int(m, "box count", 1)
     if randomness is None:
         randomness = (ONE,)
     randomness = tuple(_exact(w, "weight") for w in randomness)

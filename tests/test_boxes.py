@@ -10,6 +10,7 @@ from nsboxes.boolfn import AnfFunction, parse_expr
 from nsboxes.boxes import (
     BoxTable,
     bit_tuples,
+    check_int,
     check_positive_weight,
     is_non_signaling,
     make_correlated,
@@ -192,6 +193,72 @@ def test_xor_box_with_itself_gives_even_parity():
 def test_xor_boxes_dimension_mismatch():
     with pytest.raises(ValueError):
         xor_boxes(make_npr(2), make_npr(3))
+
+
+def reference_xor_boxes(p, q):
+    """The pair loop: every pair of nonzero outputs of one input, XORed bitwise."""
+    n = p.n
+    entries = {(x, c): F(0) for x in bit_tuples(n) for c in bit_tuples(n)}
+    for x in bit_tuples(n):
+        for a, pa in p.support(x):
+            for b, qb in q.support(x):
+                entries[(x, tuple(ai ^ bi for ai, bi in zip(a, b)))] += pa * qb
+    return BoxTable(n, entries)
+
+
+def reference_mix(boxes, weights):
+    """The Fraction sum, entry by entry."""
+    return BoxTable(boxes[0].n, {
+        key: sum((w * b.entries[key] for b, w in zip(boxes, weights)), F(0))
+        for key in boxes[0].entries
+    })
+
+
+def random_general_box(rng, n):
+    """A seeded box whose rows hold one, two or all outputs, each row over its own denominator.
+
+    Most such boxes signal: the table algebra takes any box.
+    """
+    outputs = list(bit_tuples(n))
+    entries = {}
+    for x in bit_tuples(n):
+        chosen = rng.sample(outputs, rng.choice([1, 2, len(outputs)]))
+        weights = [rng.randint(1, 9) for _ in chosen]
+        for a, w in zip(chosen, weights):
+            entries[(x, a)] = F(w, sum(weights))
+    return BoxTable(n, entries)
+
+
+def assert_same_box(got, want):
+    assert got.entries == want.entries
+    assert hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("n, cases", [(1, 6), (2, 6), (3, 6), (4, 6), (5, 4), (6, 1)])
+def test_xor_boxes_matches_the_pair_loop(n, cases):
+    rng = random.Random(n)
+    pairs = [(random_general_box(rng, n), random_general_box(rng, n)) for _ in range(cases)]
+    pairs.append((random_general_box(rng, n), make_correlated(n, F(1, 3))))
+    if n > 1:
+        assert any(not is_non_signaling(p) for p, _ in pairs)
+    for p, q in pairs:
+        assert_same_box(xor_boxes(p, q), reference_xor_boxes(p, q))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mix_matches_the_fraction_sum(n):
+    rng = random.Random(10 + n)
+    boxes = [random_general_box(rng, n), make_correlated(n, F(2, 7)), random_general_box(rng, n)]
+    for weights in ([F(1, 3), F(1, 6), F(1, 2)], [F(0), F(4, 9), F(5, 9)], [F(0), F(0), F(1)]):
+        assert_same_box(mix(boxes, weights), reference_mix(boxes, weights))
+    assert_same_box(mix(boxes[:1], [F(1)]), boxes[0])
+
+
+def test_check_int_names_a_huge_value_by_its_size():
+    with pytest.raises(ValueError, match=re.escape("steps must be in 0..8, got an int of 16610 bits")):
+        check_int(10 ** 5000, "steps", 0, 8)
+    with pytest.raises(ValueError, match=re.escape(f"got {-2 ** 255}")):
+        check_int(-2 ** 255, "steps", 0)
 
 
 def test_xor_star_single_function():
